@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import run_once
-from repro.core.hpspc import hpspc_index
-from repro.core.pspc import pspc_index
+from repro.core.hpspc import HPSPCIndex
+from repro.core.pspc import build_pspc
 from repro.graph.graph import Graph
 from repro.ordering.base import VertexOrder
 
@@ -30,10 +30,10 @@ def test_table2_labels(benchmark, record):
     order = VertexOrder.from_order(np.array(ORDER), 10, strategy="paper")
 
     def build():
-        return pspc_index(graph, order)
+        return build_pspc(graph, order)[0]
 
     index = run_once(benchmark, build)
-    assert index == hpspc_index(graph, order)
+    assert index == HPSPCIndex.build(graph, order, store="tuple").labels
 
     rows = []
     for v in range(10):

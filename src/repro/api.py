@@ -44,25 +44,17 @@ from repro.baselines.bfs_spc import OnlineBFSCounter
 from repro.baselines.bidirectional import BidirectionalBFSCounter
 from repro.core import store as store_module
 from repro.core.dynamic import DynamicSPCIndex
-from repro.core.engine import validate_vertex
 from repro.core.hpspc import HPSPCIndex
 from repro.core.index import BuildConfig, PSPCIndex
 from repro.core.queries import SPCResult
 from repro.core.stats import BuildStats
 from repro.digraph.digraph import DiGraph
 from repro.digraph.index import DirectedSPCIndex
-from repro.errors import (
-    DeadlineError,
-    IndexBuildError,
-    OverloadError,
-    PersistenceError,
-    QueryError,
-)
+from repro.errors import IndexBuildError, PersistenceError, QueryError
 from repro.graph.graph import Graph
 from repro.obs.trace import TraceContext, Tracer
 from repro.reduction.pipeline import ReducedSPCIndex
-from repro.serve.cache import LRUCache, pair_key
-from repro.serve.metrics import FlushStats
+from repro.serve.admission import Admission, Ticket
 
 __all__ = [
     "AsyncQueryService",
@@ -462,10 +454,10 @@ def open_index(path: str | Path, mmap: bool = False) -> SPCounter:
 # ----------------------------------------------------------------------
 # the serving layer: admission-batched query service
 # ----------------------------------------------------------------------
-class PendingQuery:
+class PendingQuery(Ticket):
     """A submitted query awaiting its batch; resolved by the next flush."""
 
-    __slots__ = ("s", "t", "deadline", "trace", "_service", "_value", "_error")
+    __slots__ = ("_service",)
 
     def __init__(
         self,
@@ -475,21 +467,8 @@ class PendingQuery:
         deadline: float | None = None,
         trace: "TraceContext | None" = None,
     ) -> None:
-        self.s = s
-        self.t = t
-        #: absolute ``perf_counter`` instant after which the query is shed
-        #: unanswered (None = no budget)
-        self.deadline = deadline
-        #: per-request span accumulator when the service has a tracer
-        self.trace = trace
+        super().__init__(s, t, deadline, trace)
         self._service = service
-        self._value: SPCResult | None = None
-        self._error: BaseException | None = None
-
-    @property
-    def done(self) -> bool:
-        """Whether the batch holding this query has been flushed."""
-        return self._value is not None or self._error is not None
 
     def result(self, timeout: float | None = None) -> SPCResult:
         """Block until the batch flushes and return this query's answer.
@@ -521,9 +500,7 @@ class PendingQuery:
                     continue
                 waits = [w for w in (deadline, give_up) if w is not None]
                 service._cv.wait(timeout=min(waits) - now if waits else None)
-        if self._error is not None:
-            raise self._error
-        return self._value
+        return self.outcome()
 
 
 class QueryService:
@@ -566,39 +543,29 @@ class QueryService:
         deadline_ms: float = 0.0,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be >= 1, got {batch_size}")
-        if max_wait < 0:
-            raise QueryError(f"max_wait must be >= 0, got {max_wait}")
-        if max_pending < 0 or deadline_ms < 0:
-            raise QueryError(
-                f"max_pending and deadline_ms must be >= 0, got "
-                f"{max_pending}, {deadline_ms}"
-            )
+        #: admission control, the LRU point cache, flush accounting and
+        #: trace bookkeeping, shared with the async twin (used under the lock)
+        self._admission = Admission(
+            counter,
+            batch_size=batch_size,
+            max_wait=max_wait,
+            cache_size=cache_size,
+            max_pending=max_pending,
+            deadline_ms=deadline_ms,
+            tracer=tracer,
+        )
         self.counter = counter
         self.batch_size = int(batch_size)
         self.max_wait = float(max_wait)
-        #: admission-control parity with the async twin: a full pending
-        #: queue rejects with OverloadError, an expired per-request budget
-        #: sheds with DeadlineError before the kernel runs (0 disables)
-        self.max_pending = int(max_pending)
-        self.deadline_ms = float(deadline_ms)
         self._cv = Condition()
         self._pending: list[PendingQuery] = []
         self._deadline: float | None = None
         self._closed = False
-        #: optional LRU point-query cache: repeated (s, t) pairs resolve
-        #: without touching the kernel (capacity 0 disables).  Undirected
-        #: counters key on the canonical (min, max) pair so the reversed
-        #: direction of a hot pair hits too; directed counters stay
-        #: asymmetric (see :func:`repro.serve.cache.pair_key`)
-        self._cache: LRUCache[tuple[int, int], SPCResult] = LRUCache(cache_size)
-        self._cache_key = pair_key(counter)
-        #: flush accounting shared with the async twin (mutated under the lock)
-        self._metrics = FlushStats()
-        #: optional request tracer, mirroring the async twin: each submit
-        #: mints a span-accumulating context (``None`` = tracing off)
-        self.tracer = tracer
+
+    @property
+    def tracer(self) -> "Tracer | None":
+        """The optional request tracer (``None`` = tracing off)."""
+        return self._admission.tracer
 
     # ------------------------------------------------------------------
     # point path: submit / query
@@ -616,69 +583,41 @@ class QueryService:
         Reaching ``batch_size`` pending queries flushes immediately; an
         unfilled batch flushes when its oldest entry has waited
         ``max_wait`` (driven by whichever ``result()`` call observes the
-        deadline).
+        deadline).  Cache hits come back already resolved.
 
-        Vertex ids are validated before admission (mirroring the async
-        twin): one malformed submission fails alone instead of poisoning
-        the co-batched queries of other threads.  Admission control mirrors
-        the twin too: a full pending queue (``max_pending``) raises
+        Admission is the shared :class:`~repro.serve.admission.Admission`
+        core: vertex ids are validated first (one malformed submission
+        fails alone), a full pending queue (``max_pending``) raises
         :class:`~repro.errors.OverloadError`, and an armed ``deadline_ms``
         budget (per call, or the service default) sheds the query with
         :class:`~repro.errors.DeadlineError` if it expires before the
         batch flushes.
         """
-        n = self.counter.n
-        s = validate_vertex(s, n)
-        t = validate_vertex(t, n)
-        budget = self.deadline_ms if deadline_ms is None else float(deadline_ms)
-        tracer = self.tracer
-        # explicit ids always trace (a header names this request); the
-        # rest thin out at the tracer's deterministic sampling rate
-        ctx = (
-            tracer.new_trace(s, t, trace_id=trace_id)
-            if tracer is not None and (trace_id is not None or tracer.sampled())
-            else None
-        )
         with self._cv:
             if self._closed:
                 raise QueryError("QueryService is closed")
-            if self.max_pending and len(self._pending) >= self.max_pending:
-                self._metrics.queries += 1
-                self._metrics.overloads += 1
-                if ctx is not None:
-                    self.tracer.finish(ctx, status="overload")
-                raise OverloadError(
-                    f"pending queue full ({self.max_pending} queries); retry later"
-                )
-            deadline = (
-                time.perf_counter() + budget / 1000.0 if budget > 0 else None
+            handle = self._admission.admit(
+                s,
+                t,
+                self.counter.n,
+                len(self._pending),
+                self._ticket,
+                deadline_ms=deadline_ms,
+                trace_id=trace_id,
             )
-            handle = PendingQuery(self, s, t, deadline, trace=ctx)
-            self._metrics.queries += 1
-            if ctx is not None and self._cache.capacity > 0:
-                lookup_start = time.perf_counter()
-                cached = self._cache.get(self._cache_key(handle.s, handle.t))
-                ctx.span("cache_lookup", time.perf_counter() - lookup_start)
-            else:
-                cached = self._cache.get(self._cache_key(handle.s, handle.t))
-            if cached is not None:
-                # a reversed-pair hit answers with the requested
-                # orientation, not the one that warmed the cache
-                if (cached.s, cached.t) != (handle.s, handle.t):
-                    cached = SPCResult(handle.s, handle.t, cached.dist, cached.count)
-                handle._value = cached
-                if ctx is not None:
-                    ctx.annotate(cache="hit")
-                    self.tracer.finish(ctx)
+            if handle.done:
                 return handle
-            if ctx is not None and self._cache.capacity > 0:
-                ctx.annotate(cache="miss")
             self._pending.append(handle)
             if self._deadline is None:
                 self._deadline = time.perf_counter() + self.max_wait
             if len(self._pending) >= self.batch_size:
                 self._flush_locked("full")
         return handle
+
+    def _ticket(
+        self, s: int, t: int, deadline: float | None, trace: "TraceContext | None"
+    ) -> PendingQuery:
+        return PendingQuery(self, s, t, deadline, trace)
 
     def query(self, s: int, t: int) -> SPCResult:
         """Submit one query and wait for its batch — the low-QPS path."""
@@ -723,60 +662,37 @@ class QueryService:
         """Evaluate and resolve the pending batch (caller holds the lock).
 
         Queries whose per-request deadline already passed are shed with
-        :class:`~repro.errors.DeadlineError` *before* the kernel runs —
-        identical semantics to the async twin's flush-time shedding.
+        :class:`~repro.errors.DeadlineError` *before* the kernel runs.  A
+        kernel failure is delivered to every co-batched handle (their
+        ``result()`` re-raises it) and then raised here.
         """
-        full_batch = self._pending
-        if not full_batch:
+        batch = self._pending
+        if not batch:
             return 0
         self._pending = []
         self._deadline = None
-        now = time.perf_counter()
-        batch = []
-        for handle in full_batch:
-            if handle.deadline is not None and now >= handle.deadline:
-                self._metrics.deadline_shed += 1
-                if handle.trace is not None and self.tracer is not None:
-                    self.tracer.finish(handle.trace, status="shed")
-                handle._error = DeadlineError(
-                    f"query ({handle.s}, {handle.t}) missed its deadline "
-                    f"before the kernel ran"
+        admission = self._admission
+        live, start = admission.open_batch(batch, reason)
+        if live:
+            representative = admission.representative(live)
+            try:
+                answers = self._run_kernel(
+                    [(h.s, h.t) for h in live], reason, representative
                 )
-            else:
-                if handle.trace is not None:
-                    handle.trace.span("admission_wait", now - handle.trace.enqueued)
-                    handle.trace.annotate(batch=len(full_batch), flush=reason)
-                batch.append(handle)
-        if not batch:
-            self._cv.notify_all()
-            return len(full_batch)
-        try:
-            kernel_start = time.perf_counter()
-            answers = self._run_kernel([(h.s, h.t) for h in batch], reason)
-            kernel_seconds = time.perf_counter() - kernel_start
-        except BaseException as exc:
-            # never strand a co-batched waiter: every handle of the failed
-            # batch carries the kernel error, and result() re-raises it
-            for handle in batch:
-                if handle.trace is not None and self.tracer is not None:
-                    self.tracer.finish(handle.trace, status="error")
-                handle._error = exc
-            self._cv.notify_all()
-            raise
-        reassembly_start = time.perf_counter()
-        for handle, answer in zip(batch, answers):
-            handle._value = answer
-            self._cache.put(self._cache_key(handle.s, handle.t), answer)
-            if handle.trace is not None and self.tracer is not None:
-                done = time.perf_counter()
-                handle.trace.span("kernel", kernel_seconds)
-                handle.trace.span("reassembly", done - reassembly_start)
-                handle.trace.span("flush", done - now)
-                self.tracer.finish(handle.trace)
+            except BaseException as exc:
+                admission.fail(live, exc)
+                self._cv.notify_all()
+                raise
+            admission.resolve(live, answers, start, representative)
         self._cv.notify_all()
-        return len(full_batch)
+        return len(batch)
 
-    def _run_kernel(self, chunk: list[tuple[int, int]], reason: str) -> list[SPCResult]:
+    def _run_kernel(
+        self,
+        chunk: list[tuple[int, int]],
+        reason: str,
+        trace: "TraceContext | None" = None,
+    ) -> list[SPCResult]:
         """One timed invocation of the underlying batch kernel.
 
         Callable with or without the service lock held (the condition's
@@ -785,8 +701,10 @@ class QueryService:
         start = time.perf_counter()
         answers = self.counter.query_batch(chunk)
         elapsed = time.perf_counter() - start
+        if trace is not None:
+            trace.span("kernel", elapsed)
         with self._cv:
-            self._metrics.record_flush(reason, elapsed, len(chunk))
+            self._admission.metrics.record_flush(reason, elapsed, len(chunk))
         return answers
 
     # ------------------------------------------------------------------
@@ -801,15 +719,12 @@ class QueryService:
     def stats(self) -> dict:
         """Serving statistics: batch shape and per-batch flush latency."""
         with self._cv:
-            report = self._metrics.snapshot(len(self._pending), self._cache)
-            if self.tracer is not None:
-                report["trace"] = self.tracer.snapshot()
-            return report
+            return self._admission.stats(len(self._pending))
 
     def clear_cache(self) -> None:
         """Drop every cached point answer (after mutating the counter)."""
         with self._cv:
-            self._cache.clear()
+            self._admission.cache.clear()
 
     @property
     def closed(self) -> bool:
@@ -842,5 +757,6 @@ class QueryService:
         return (
             f"QueryService(counter={type(self.counter).__name__}, "
             f"batch_size={self.batch_size}, max_wait={self.max_wait}, "
-            f"batches={self._metrics.batches}, queries={self._metrics.queries})"
+            f"batches={self._admission.metrics.batches}, "
+            f"queries={self._admission.metrics.queries})"
         )

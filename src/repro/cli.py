@@ -211,16 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="spawned worker processes attached to the shared-memory "
-        "segment (0 serves in-process)",
+        help="spawned worker processes serving the index from shared "
+        "memory (0 serves in-process)",
     )
     p_http.add_argument(
         "--shards",
         type=int,
-        default=0,
-        help="partition the index into this many vertex-range shards; "
-        "workers own shards round-robin and the batch router scatters by "
-        "home shard (0 serves the whole index as one segment)",
+        default=1,
+        help="partition the index into this many vertex-range shards "
+        "(default 1: the whole index as one shard); workers own shards "
+        "round-robin and the batch router scatters by home shard",
     )
     p_http.add_argument(
         "--cold-shards",

@@ -24,7 +24,7 @@ round out the subsystem.
 from repro.core.compact import CompactLabelIndex
 from repro.core.dynamic import DynamicSPCIndex
 from repro.core.engine import QueryEngine, query_batch_compact
-from repro.core.hpspc import HPSPCIndex, build_hpspc, hpspc_index
+from repro.core.hpspc import HPSPCIndex
 from repro.core.index import BuildConfig, PSPCIndex
 from repro.core.labels import ENTRY_BYTES, LabelEntry, LabelIndex
 from repro.core.landmarks import LandmarkIndex, build_landmark_index, select_landmarks
@@ -36,7 +36,7 @@ from repro.core.parallel import (
     simulated_build_units,
     simulated_query_units,
 )
-from repro.core.pspc import PARADIGMS, build_pspc, pspc_index
+from repro.core.pspc import PARADIGMS, build_pspc
 from repro.core.queries import (
     SPCResult,
     batch_query,
@@ -90,10 +90,7 @@ __all__ = [
     "LabelEntry",
     "ENTRY_BYTES",
     "build_pspc",
-    "pspc_index",
     "PARADIGMS",
-    "build_hpspc",
-    "hpspc_index",
     "SPCResult",
     "merge_labels",
     "spc_query",

@@ -22,15 +22,12 @@ contributes the product of its internal vertices' weights.
 order, freezes the finished labels into the default compact serving store,
 serves queries through the shared :class:`~repro.core.engine.QueryEngine`,
 and persists to the unified versioned ``.npz`` container (payload kind
-``"hpspc"``) — the piece the function-based entry points never had.  The
-old callables (:func:`build_hpspc`, :func:`hpspc_index`) remain as thin
-deprecated shims.
+``"hpspc"``).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -43,11 +40,11 @@ from repro.errors import IndexBuildError, PersistenceError, QueryError
 from repro.graph.graph import Graph
 from repro.ordering.base import VertexOrder
 
-__all__ = ["HPSPCIndex", "build_hpspc", "hpspc_index"]
+__all__ = ["HPSPCIndex"]
 
 
 def _build_hpspc_labels(graph: Graph, order: VertexOrder) -> tuple[LabelIndex, BuildStats]:
-    """Raw HP-SPC label construction (internal; no deprecation warning).
+    """Raw HP-SPC label construction (internal; facades wrap it).
 
     Returns the tuple-label index and its
     :class:`~repro.core.stats.BuildStats` (a single "construction" phase;
@@ -58,31 +55,6 @@ def _build_hpspc_labels(graph: Graph, order: VertexOrder) -> tuple[LabelIndex, B
         index = _construct(graph, order, stats)
     stats.total_entries = index.total_entries()
     return index, stats
-
-
-def build_hpspc(graph: Graph, order: VertexOrder) -> tuple[LabelIndex, BuildStats]:
-    """Deprecated: use :meth:`HPSPCIndex.build` or
-    ``repro.api.build_index(graph, method="hpspc")`` instead."""
-    warnings.warn(
-        "build_hpspc is deprecated; use HPSPCIndex.build or "
-        "repro.api.build_index(graph, method='hpspc')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_hpspc_labels(graph, order)
-
-
-def hpspc_index(graph: Graph, order: VertexOrder) -> LabelIndex:
-    """Deprecated: use :meth:`HPSPCIndex.build` or
-    ``repro.api.build_index(graph, method="hpspc")`` instead."""
-    warnings.warn(
-        "hpspc_index is deprecated; use HPSPCIndex.build or "
-        "repro.api.build_index(graph, method='hpspc')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    index, _ = _build_hpspc_labels(graph, order)
-    return index
 
 
 class HPSPCIndex:

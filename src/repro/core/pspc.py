@@ -45,7 +45,7 @@ from repro.errors import IndexBuildError
 from repro.graph.graph import Graph
 from repro.ordering.base import VertexOrder
 
-__all__ = ["build_pspc", "pspc_index", "PARADIGMS"]
+__all__ = ["build_pspc", "PARADIGMS"]
 
 #: Supported propagation paradigms (Section III-E).
 PARADIGMS = ("pull", "push")
@@ -115,21 +115,6 @@ def build_pspc(
         index = _propagate(graph, order, paradigm, landmarks, backend, stats, record_work, max_iterations)
     stats.total_entries = index.total_entries()
     return index, stats
-
-
-def pspc_index(graph: Graph, order: VertexOrder, **kwargs: object) -> LabelIndex:
-    """Deprecated: use :meth:`repro.core.index.PSPCIndex.build` or
-    ``repro.api.build_index(graph, method="pspc")`` instead."""
-    import warnings
-
-    warnings.warn(
-        "pspc_index is deprecated; use PSPCIndex.build or "
-        "repro.api.build_index(graph, method='pspc')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    index, _ = build_pspc(graph, order, **kwargs)  # type: ignore[arg-type]
-    return index
 
 
 def _propagate(

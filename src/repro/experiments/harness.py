@@ -566,7 +566,7 @@ def exp_serve_scaling(
       :class:`~repro.api.QueryService` baseline (one process,
       admission-sized kernel calls);
     * ``mode="pool"`` (workers=N) — the same workload split across N
-      spawn-based processes attached to one shared-memory segment;
+      spawn-based processes attached to one shared-memory shard;
     * ``mode="sharded"`` — the shard fleet: the index partitioned into
       4 vertex-range shards (one mmap-cold), shard-owning workers, and
       the home-shard scatter/gather router in front.
@@ -581,7 +581,7 @@ def exp_serve_scaling(
 
     from repro.api import QueryService
     from repro.serve.pool import WorkerPool
-    from repro.serve.shm import ShmIndexSegment
+    from repro.serve.shm import ShmSegmentFleet
 
     cpus = multiprocessing.cpu_count()
     rows = []
@@ -612,13 +612,12 @@ def exp_serve_scaling(
             }
         )
 
-        # one shm publish per dataset, shared across pool sizes: the
-        # measured variable is worker count, not segment-copy cost
-        segment = ShmIndexSegment.publish(index)
-        try:
+        # one 1-shard fleet publish per dataset, shared across pool sizes:
+        # the measured variable is worker count, not publish cost
+        with ShmSegmentFleet.publish(index, shards=1) as fleet:
             base_seconds = None
             for count in workers:
-                with WorkerPool(segment=segment, workers=count) as pool:
+                with WorkerPool(fleet=fleet, workers=count) as pool:
                     pool.query_batch(pairs[:64])  # warm the workers
                     best = float("inf")
                     for _ in range(repeats):
@@ -636,16 +635,13 @@ def exp_serve_scaling(
                         "dataset": key,
                         "mode": "pool",
                         "workers": count,
-                        "shards": 0,
+                        "shards": 1,
                         "queries": n_queries,
                         "qps": round(n_queries / best),
                         "speedup": round(base_seconds / best, 2),
                         "cpus": cpus,
                     }
                 )
-        finally:
-            segment.close()
-            segment.unlink()
 
         # the shard fleet at the largest pool size: 4 vertex-range
         # shards, one mmap-cold, shard-owning workers behind the
@@ -689,7 +685,7 @@ def exp_serve_chaos(
 
     Four scenarios drive the :class:`~repro.serve.async_service.
     AsyncQueryService` + :class:`~repro.serve.pool.WorkerPool` stack over
-    one shared-memory segment, each under a different deterministic
+    one shared-memory shard, each under a different deterministic
     :class:`~repro.serve.faults.FaultPlan`:
 
     * ``clean``            — no faults: the latency baseline;
@@ -719,7 +715,7 @@ def exp_serve_chaos(
     from repro.serve.async_service import AsyncQueryService
     from repro.serve.faults import NO_FAULTS, FaultPlan
     from repro.serve.pool import WorkerPool
-    from repro.serve.shm import ShmIndexSegment
+    from repro.serve.shm import ShmSegmentFleet
 
     graph = load_dataset(key)
     index, _ = _build(graph, "pspc", cache_key=key, num_landmarks=DEFAULT_LANDMARKS)
@@ -758,13 +754,13 @@ def exp_serve_chaos(
         ),
     ]
 
-    # one publish shared by every scenario's pool: the variable under test
-    # is the fault plan, not segment-copy cost
-    segment = ShmIndexSegment.publish(index)
+    # one 1-shard fleet shared by every scenario's pool: the variable
+    # under test is the fault plan, not publish cost
+    fleet = ShmSegmentFleet.publish(index, shards=1)
     rows = []
     try:
         for name, plan, pool_kwargs, svc_kwargs, deadline_ms, requests, paced in scenarios:
-            pool = WorkerPool(segment=segment, workers=2, faults=plan, **pool_kwargs)
+            pool = WorkerPool(fleet=fleet, workers=2, faults=plan, **pool_kwargs)
             answered: dict[int, object] = {}
             latencies: list[float] = []
             shed = errors = 0
@@ -847,8 +843,8 @@ def exp_serve_chaos(
                 }
             )
     finally:
-        segment.close()
-        segment.unlink()
+        fleet.close()
+        fleet.unlink()
     return rows
 
 
@@ -889,7 +885,7 @@ def exp_serve_traced(
     from repro.obs.trace import SPAN_NAMES, Tracer
     from repro.serve.async_service import AsyncQueryService
     from repro.serve.pool import WorkerPool
-    from repro.serve.shm import ShmIndexSegment
+    from repro.serve.shm import ShmSegmentFleet
 
     graph = load_dataset(key)
     index, _ = _build(graph, "pspc", cache_key=key, num_landmarks=DEFAULT_LANDMARKS)
@@ -929,7 +925,7 @@ def exp_serve_traced(
         return len(records)
 
     modes = [("untraced", None), ("traced", 1), ("sampled", sample)]
-    segment = ShmIndexSegment.publish(index)
+    fleet = ShmSegmentFleet.publish(index, shards=1)
     rows = []
     try:
         seconds: dict[str, float] = {}
@@ -937,7 +933,7 @@ def exp_serve_traced(
             tracer = Tracer(sample=rate) if rate is not None else None
             best = float("inf")
             for _ in range(repeats):
-                pool = WorkerPool(segment=segment, workers=2)
+                pool = WorkerPool(fleet=fleet, workers=2)
                 service = AsyncQueryService(
                     pool=pool, batch_size=wave, max_wait=0.002, tracer=tracer
                 )
@@ -978,8 +974,8 @@ def exp_serve_traced(
                 f"{max_full_overhead:.0%} sanity bound"
             )
     finally:
-        segment.close()
-        segment.unlink()
+        fleet.close()
+        fleet.unlink()
     return rows
 
 

@@ -1,15 +1,19 @@
 """repro.serve — the multi-process serving subsystem.
 
-Three layers, each usable on its own:
+Layers, each usable on its own:
 
-* :mod:`repro.serve.shm` — :class:`ShmIndexSegment` publishes a frozen
-  compact index (undirected or directed) into one named shared-memory
-  block; workers attach read-only views **without copying** the label
-  arrays.
-* :mod:`repro.serve.pool` — :class:`WorkerPool` shards each query batch
-  contiguously across N spawn-based worker processes, reassembles answers
-  in order, detects crashes and respawns slots (the budget bounds
-  consecutive crashes, not uptime).
+* :mod:`repro.serve.shm` — :class:`ShmSegmentFleet` partitions a frozen
+  compact index (undirected or directed) into vertex-range shards, each
+  hot shard one named shared-memory block (:class:`ShmIndexSegment`);
+  workers attach read-only views **without copying** the label arrays.
+* :mod:`repro.serve.pool` — :class:`WorkerPool` publishes the index as a
+  fleet (one shard by default), routes each query batch by home shard
+  across N spawn-based worker processes, reassembles answers in order,
+  detects crashes and respawns slots (the budget bounds consecutive
+  crashes, not uptime).
+* :mod:`repro.serve.admission` — the admission core both query services
+  share: validation, the point cache, overload and deadline checks,
+  trace bookkeeping.
 * :mod:`repro.serve.async_service` — :class:`AsyncQueryService`, the
   asyncio twin of :class:`repro.api.QueryService`: admission batching for
   thousands of concurrent awaiters, flushing one kernel call per batch

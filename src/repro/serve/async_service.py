@@ -8,11 +8,14 @@ dispatched off the event loop with ``loop.run_in_executor`` so thousands of
 concurrent awaiters cost one vectorized merge per batch and the loop never
 blocks.  The kernel target is either a counter's ``query_batch`` directly
 (``workers=0``) or a :class:`~repro.serve.pool.WorkerPool` sharding each
-batch across spawn-based processes attached to the shared-memory segment.
+batch across spawn-based processes attached to the shared-memory shards.
 
 Same invariant as the synchronous service: answers are identical to
 per-pair ``query`` calls in every regime — admission batching and process
-sharding change latency shape, never results.
+sharding change latency shape, never results.  Both services run the same
+:class:`~repro.serve.admission.Admission` core (validation, cache,
+overload and deadline checks, trace bookkeeping); this module adds only
+the event-loop concurrency model around it.
 
 Robustness knobs (all off by default, so embedded/test uses stay simple):
 
@@ -37,17 +40,35 @@ from typing import Sequence
 
 from repro.core.engine import validate_vertex
 from repro.core.queries import SPCResult
-from repro.errors import DeadlineError, OverloadError, QueryError, ServeError
+from repro.errors import DeadlineError, QueryError, ServeError
 from repro.obs.trace import TraceContext, Tracer
-from repro.serve.cache import LRUCache, pair_key
-from repro.serve.metrics import FlushStats, LatencyHistogram
+from repro.serve.admission import Admission, Ticket
+from repro.serve.metrics import LatencyHistogram
 from repro.serve.pool import WorkerPool
 
 __all__ = ["AsyncQueryService"]
 
-#: one admitted point query: (s, t, future, absolute-monotonic deadline or
-#: None, trace context or None)
-_Entry = "tuple[int, int, asyncio.Future, float | None, TraceContext | None]"
+
+class _Waiter(Ticket):
+    """A ticket whose caller awaits an asyncio future on the running loop."""
+
+    __slots__ = ("future",)
+
+    def __init__(
+        self, s: int, t: int, deadline: float | None, trace: TraceContext | None
+    ) -> None:
+        super().__init__(s, t, deadline, trace)
+        self.future: asyncio.Future = asyncio.get_running_loop().create_future()
+
+    def resolve(self, value: SPCResult) -> None:
+        super().resolve(value)
+        if not self.future.done():
+            self.future.set_result(value)
+
+    def fail(self, error: BaseException) -> None:
+        super().fail(error)
+        if not self.future.done():
+            self.future.set_exception(error)
 
 
 class AsyncQueryService:
@@ -60,11 +81,11 @@ class AsyncQueryService:
     shards every flush across a spawned :class:`WorkerPool` (owned by the
     service and closed by :meth:`aclose`).  An externally managed pool can
     be passed via ``pool=`` instead.  ``shards=K`` (with ``workers >= 1``)
-    partitions the index into a :class:`~repro.serve.shm.ShmSegmentFleet`
-    served by shard-owning workers — ``cold_shards`` names shards kept out
-    of shared memory — while answers stay bit-identical to single-segment
-    serving; the LRU point cache sits *above* the shard router, so hot
-    cross-shard pairs still hit without touching a worker.
+    partitions the index into K vertex-range shards served by shard-owning
+    workers (default 1: the whole index as one shard) — ``cold_shards``
+    names shards kept out of shared memory — while answers stay
+    bit-identical; the LRU point cache sits *above* the shard router, so
+    hot cross-shard pairs still hit without touching a worker.
 
     ``max_pending``, ``max_inflight`` and ``deadline_ms`` are the admission
     -control knobs (0 disables each; see the module docstring): bounded
@@ -93,7 +114,7 @@ class AsyncQueryService:
         counter: object = None,
         *,
         workers: int = 0,
-        shards: int = 0,
+        shards: int = 1,
         cold_shards: "tuple[int, ...]" = (),
         pool: WorkerPool | None = None,
         batch_size: int = 64,
@@ -104,68 +125,61 @@ class AsyncQueryService:
         deadline_ms: float = 0.0,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be >= 1, got {batch_size}")
-        if max_wait < 0:
-            raise QueryError(f"max_wait must be >= 0, got {max_wait}")
         if workers < 0:
             raise ServeError(f"workers must be >= 0, got {workers}")
-        if shards < 0:
-            raise ServeError(f"shards must be >= 0, got {shards}")
-        if shards > 0 and workers < 1 and pool is None:
+        if shards < 1:
+            raise ServeError(f"shards must be >= 1, got {shards}")
+        if shards > 1 and workers < 1 and pool is None:
             raise ServeError(
                 "sharded serving needs a worker pool: pass workers >= 1 "
                 "with shards, or a pre-built sharded pool"
             )
-        if max_pending < 0 or max_inflight < 0 or deadline_ms < 0:
-            raise ServeError(
-                "max_pending, max_inflight and deadline_ms must be >= 0 "
-                f"(got {max_pending}, {max_inflight}, {deadline_ms})"
-            )
+        if max_inflight < 0:
+            raise ServeError(f"max_inflight must be >= 0, got {max_inflight}")
         if counter is None and pool is None:
             raise ServeError("AsyncQueryService needs a counter or a WorkerPool")
+        #: admission control, the LRU point cache (canonical keys for
+        #: symmetric targets — a pool spawned below shares the counter's
+        #: symmetry), flush accounting and trace bookkeeping, shared with
+        #: the sync twin (loop-thread only); built first so bad parameters
+        #: raise before any worker is spawned
+        self._admission = Admission(
+            pool or counter,
+            batch_size=batch_size,
+            max_wait=max_wait,
+            cache_size=cache_size,
+            max_pending=max_pending,
+            deadline_ms=deadline_ms,
+            tracer=tracer,
+        )
         self.counter = counter
         self.batch_size = int(batch_size)
         self.max_wait = float(max_wait)
-        #: admission bound: 0 = unbounded (the pre-hardening behaviour)
-        self.max_pending = int(max_pending)
         #: concurrent kernel-batch cap: 0 = unbounded
         self.max_inflight = int(max_inflight)
-        #: default per-request deadline in milliseconds: 0 = none
-        self.deadline_ms = float(deadline_ms)
         self._owns_pool = False
-        if pool is not None:
-            self.pool: WorkerPool | None = pool
-        elif workers > 0:
-            self.pool = WorkerPool(
-                counter, workers=workers, shards=shards, cold=cold_shards
-            )
+        if pool is None and workers > 0:
+            pool = WorkerPool(counter, workers=workers, shards=shards, cold=cold_shards)
             self._owns_pool = True
-        else:
-            self.pool = None
-        #: optional request tracer: every submit mints a
-        #: :class:`~repro.obs.trace.TraceContext`, per-span timings land in
-        #: its ring buffers, and an attached pool reports worker lifecycle
-        #: events into it (``None`` = tracing off, near-zero overhead)
-        self.tracer = tracer
-        if tracer is not None and self.pool is not None:
-            self.pool.tracer = tracer
-        target = self.pool or counter
+        self.pool: WorkerPool | None = pool
+        if tracer is not None and pool is not None:
+            # worker lifecycle events land in the same tracer
+            pool.tracer = tracer
+        target = pool or counter
         self._dispatch = target.query_batch
         self._n = int(getattr(target, "n", 0))
-        self._pending: "list[_Entry]" = []
+        self._pending: list[_Waiter] = []
         self._timer: asyncio.TimerHandle | None = None
         self._flush_tasks: set[asyncio.Task] = set()
         #: flush reason deferred by the in-flight gate; re-armed when a
         #: running batch completes (see :meth:`_flush_finished`)
         self._stalled: str | None = None
         self._closed = False
-        #: canonical (min, max) keys for symmetric counters so reversed hot
-        #: pairs hit; asymmetric keys when the dispatch target is directed
-        self._cache: LRUCache[tuple[int, int], SPCResult] = LRUCache(cache_size)
-        self._cache_key = pair_key(target)
-        #: flush accounting shared with the sync twin (loop-thread only)
-        self._metrics = FlushStats()
+
+    @property
+    def tracer(self) -> "Tracer | None":
+        """The optional request tracer (``None`` = tracing off)."""
+        return self._admission.tracer
 
     # ------------------------------------------------------------------
     # point path
@@ -201,57 +215,24 @@ class AsyncQueryService:
         """
         if self._closed:
             raise QueryError("AsyncQueryService is closed")
-        s = validate_vertex(s, self._n)
-        t = validate_vertex(t, self._n)
-        tracer = self.tracer
-        # explicit ids always trace (a header names this request); the
-        # rest thin out at the tracer's deterministic sampling rate
-        ctx = (
-            tracer.new_trace(s, t, trace_id=trace_id)
-            if tracer is not None and (trace_id is not None or tracer.sampled())
-            else None
+        waiter = self._admission.admit(
+            s,
+            t,
+            self._n,
+            len(self._pending),
+            _Waiter,
+            deadline_ms=deadline_ms,
+            trace_id=trace_id,
         )
-        self._metrics.queries += 1
-        if ctx is not None and self._cache.capacity > 0:
-            lookup_start = time.perf_counter()
-            cached = self._cache.get(self._cache_key(s, t))
-            ctx.span("cache_lookup", time.perf_counter() - lookup_start)
-        else:
-            cached = self._cache.get(self._cache_key(s, t))
-        if cached is not None:
-            # a reversed-pair hit answers with the requested orientation
-            if (cached.s, cached.t) != (s, t):
-                cached = SPCResult(s, t, cached.dist, cached.count)
-            if ctx is not None:
-                ctx.annotate(cache="hit")
-                self.tracer.finish(ctx)
-            return cached
-        if ctx is not None and self._cache.capacity > 0:
-            ctx.annotate(cache="miss")
-        if self.max_pending and len(self._pending) >= self.max_pending:
-            self._metrics.overloads += 1
-            if ctx is not None:
-                self.tracer.finish(ctx, status="overload")
-            raise OverloadError(
-                f"pending queue full ({self.max_pending} queries); retry later"
-            )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append(
-            (s, t, future, self._absolute_deadline(deadline_ms), ctx)
-        )
-        if len(self._pending) >= self.batch_size:
-            self._start_flush("full")
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_wait, self._deadline_expired)
-        return await future
-
-    def _absolute_deadline(self, deadline_ms: float | None) -> float | None:
-        """Resolve a per-request budget to an absolute monotonic instant."""
-        budget = self.deadline_ms if deadline_ms is None else float(deadline_ms)
-        if budget <= 0:
-            return None
-        return time.monotonic() + budget / 1000.0
+        if not waiter.done:
+            self._pending.append(waiter)
+            if len(self._pending) >= self.batch_size:
+                self._start_flush("full")
+            elif self._timer is None:
+                self._timer = asyncio.get_running_loop().call_later(
+                    self.max_wait, self._deadline_expired
+                )
+        return await waiter.future
 
     def _deadline_expired(self) -> None:
         self._timer = None
@@ -289,71 +270,22 @@ class AsyncQueryService:
         ):
             self._start_flush(self._stalled or "full")
 
-    def _shed_expired(self, batch: "list[_Entry]") -> "list[_Entry]":
-        """Fail expired entries with :class:`DeadlineError`; return the rest.
-
-        Runs at the top of every flush — *before* the kernel — so a
-        backlogged server sheds what it can no longer answer in time
-        instead of spending kernel capacity on it.
-        """
-        now = time.monotonic()
-        live: "list[_Entry]" = []
-        for entry in batch:
-            s, t, future, deadline, ctx = entry
-            if deadline is not None and now >= deadline:
-                self._metrics.deadline_shed += 1
-                if ctx is not None and self.tracer is not None:
-                    self.tracer.finish(ctx, status="shed")
-                if not future.done():
-                    future.set_exception(
-                        DeadlineError(
-                            f"query ({s}, {t}) missed its deadline before the "
-                            f"kernel ran"
-                        )
-                    )
-            else:
-                live.append(entry)
-        return live
-
-    async def _flush(self, batch: "list[_Entry]", reason: str) -> None:
-        flush_start = time.perf_counter()
-        batch = self._shed_expired(batch)
-        if not batch:
+    async def _flush(self, batch: list[_Waiter], reason: str) -> None:
+        admission = self._admission
+        live, start = admission.open_batch(batch, reason)
+        if not live:
             return
-        traces = [ctx for _, _, _, _, ctx in batch if ctx is not None]
-        for ctx in traces:
-            ctx.span("admission_wait", flush_start - ctx.enqueued)
-            ctx.annotate(batch=len(batch), flush=reason)
-        pairs = [(s, t) for s, t, _, _, _ in batch]
+        # the first traced query represents the batch at the pool: its id
+        # rides the pipes, its context collects shard attribution
+        representative = admission.representative(live)
         try:
-            # the first traced query represents the batch at the pool: its
-            # id rides the pipes, its context collects shard attribution
             answers = await self._run_kernel(
-                pairs, reason, trace=traces[0] if traces else None
+                [(w.s, w.t) for w in live], reason, trace=representative
             )
         except BaseException as exc:  # noqa: BLE001 - delivered to every waiter
-            for _, _, future, _, ctx in batch:
-                if ctx is not None and self.tracer is not None:
-                    self.tracer.finish(ctx, status="error")
-                if not future.done():
-                    future.set_exception(exc)
+            admission.fail(live, exc)
             return
-        reassembly_start = time.perf_counter()
-        for (s, t, future, _, ctx), answer in zip(batch, answers):
-            self._cache.put(self._cache_key(s, t), answer)
-            if ctx is not None and self.tracer is not None:
-                # co-batched queries share one kernel call: every trace in
-                # the batch carries the same kernel/pipe timings
-                if ctx is not traces[0]:
-                    for span in ("kernel", "pipe"):
-                        if span in traces[0].spans:
-                            ctx.span(span, traces[0].spans[span])
-                now = time.perf_counter()
-                ctx.span("reassembly", now - reassembly_start)
-                ctx.span("flush", now - flush_start)
-                self.tracer.finish(ctx)
-            if not future.done():
-                future.set_result(answer)
+        admission.resolve(live, answers, start, representative)
 
     def _pool_dispatch(
         self, pairs: list[tuple[int, int]], trace: "TraceContext"
@@ -381,7 +313,7 @@ class AsyncQueryService:
         if trace is not None and self.pool is None:
             # no pipe leg without a pool: the whole dispatch is kernel time
             trace.span("kernel", elapsed)
-        self._metrics.record_flush(reason, elapsed, len(pairs))
+        self._admission.metrics.record_flush(reason, elapsed, len(pairs))
         return answers
 
     # ------------------------------------------------------------------
@@ -415,13 +347,13 @@ class AsyncQueryService:
         ]
         if not workload:
             return []
-        deadline = self._absolute_deadline(deadline_ms)
+        deadline = self._admission.absolute_deadline(deadline_ms)
         await self.flush()
         chunk_size = self.batch_size * (self.pool.workers if self.pool else 1)
         results: list[SPCResult] = []
         for start in range(0, len(workload), chunk_size):
-            if deadline is not None and time.monotonic() >= deadline:
-                self._metrics.deadline_shed += len(workload) - start
+            if deadline is not None and time.perf_counter() >= deadline:
+                self._admission.metrics.deadline_shed += len(workload) - start
                 raise DeadlineError(
                     f"batch of {len(workload)} missed its deadline after "
                     f"{start} answered queries"
@@ -439,7 +371,7 @@ class AsyncQueryService:
         The LRU cache assumes a frozen index; services over a mutable
         counter should leave caching disabled or clear it on every update.
         """
-        self._cache.clear()
+        self._admission.cache.clear()
 
     async def flush(self) -> int:
         """Flush pending point queries now; returns how many were started.
@@ -482,18 +414,16 @@ class AsyncQueryService:
 
     def stats(self) -> dict:
         """Serving statistics (same shape as the sync service, plus pool/cache)."""
-        report = self._metrics.snapshot(len(self._pending), self._cache)
+        report = self._admission.stats(len(self._pending))
         report["health"] = self.health()
         if self.pool is not None:
             report["pool"] = self.pool.stats()
-        if self.tracer is not None:
-            report["trace"] = self.tracer.snapshot()
         return report
 
     @property
     def flush_latency(self) -> LatencyHistogram:
         """The kernel-flush latency histogram (for /metrics rendering)."""
-        return self._metrics.flush_latency
+        return self._admission.metrics.flush_latency
 
     async def aclose(self) -> None:
         """Flush stragglers, wait out in-flight batches, stop an owned pool.
@@ -526,6 +456,6 @@ class AsyncQueryService:
         target = type(self.pool or self.counter).__name__
         return (
             f"AsyncQueryService(target={target}, batch_size={self.batch_size}, "
-            f"max_wait={self.max_wait}, batches={self._metrics.batches}, "
-            f"queries={self._metrics.queries})"
+            f"max_wait={self.max_wait}, batches={self._admission.metrics.batches}, "
+            f"queries={self._admission.metrics.queries})"
         )

@@ -275,17 +275,16 @@ class HttpFrontend:
                 body["live_workers"] = live
                 body["retired_workers"] = len(pool._slots) - live
                 body["respawns"] = sum(slot.respawns for slot in pool._slots)
-                if pool.shard_count:
-                    # sharded pools: per-shard ownership, also lock-free
-                    body["shards"] = pool.shard_count
-                    body["shard_owners"] = [
-                        {
-                            "shard": state["shard"],
-                            "live_owners": state["live_owners"],
-                            "hot": state["hot"],
-                        }
-                        for state in pool.shard_states()
-                    ]
+                # per-shard ownership, also lock-free
+                body["shards"] = pool.shard_count
+                body["shard_owners"] = [
+                    {
+                        "shard": state["shard"],
+                        "live_owners": state["live_owners"],
+                        "hot": state["hot"],
+                    }
+                    for state in pool.shard_states()
+                ]
             # "critical" still answers queries (in-process fallback) but a
             # load balancer probing /healthz must see 503 and route away
             return (503 if health == "critical" else 200), body, {}
@@ -398,7 +397,7 @@ def run_server(
     port: int = 8080,
     *,
     workers: int = 0,
-    shards: int = 0,
+    shards: int = 1,
     cold_shards: "tuple[int, ...]" = (),
     batch_size: int = 64,
     max_wait: float = 0.002,
@@ -412,13 +411,13 @@ def run_server(
 ) -> int:
     """Blocking entry point behind ``python -m repro serve``.
 
-    Publishes the counter (to shared memory when ``workers > 0``), binds
-    the HTTP front-end, and runs until SIGTERM/SIGINT — shutting down
-    workers and unlinking the segment on the way out.  ``shards=K``
-    partitions the index into a shard fleet served by shard-owning
-    workers (``cold_shards`` keeps selected shards out of shared memory,
-    mmap-served from disk), hosting an index larger than any one worker's
-    attached shm.  ``max_pending``, ``max_inflight`` and ``deadline_ms``
+    Publishes the counter as a shard fleet in shared memory when
+    ``workers > 0``, binds the HTTP front-end, and runs until
+    SIGTERM/SIGINT — shutting down workers and unlinking the shards on the
+    way out.  ``shards=K`` (default 1) partitions the index into K
+    vertex-range shards served by shard-owning workers (``cold_shards``
+    keeps selected shards out of shared memory, mmap-served from disk),
+    hosting an index larger than any one worker's attached shm.  ``max_pending``, ``max_inflight`` and ``deadline_ms``
     (all off at 0) wire admission control into the service: queue caps
     answer 429, expired budgets 504.
 

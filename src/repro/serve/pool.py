@@ -4,15 +4,18 @@ The query side of the paper is embarrassingly parallel — every point query
 is one merge over two frozen label slices — but CPython threads cannot
 exploit that (the GIL serialises the merge kernels; see
 :class:`~repro.core.parallel.ThreadBackend`, which the build side only ever
-used as an honest simulation).  Processes can: :class:`WorkerPool` spawns N
-workers that each attach the index's shared-memory segment at startup
-(:mod:`repro.serve.shm` — the label arrays are mapped, not copied) and run
-the vectorized batch kernel on the slice of each batch the parent hands
-them.
+used as an honest simulation).  Processes can: :class:`WorkerPool`
+publishes the index as a :class:`~repro.serve.shm.ShmSegmentFleet` of
+vertex-range shards (one shard unless asked for more), spawns N workers
+that each attach the shards they own from shared memory (the label arrays
+are mapped, not copied), and runs the vectorized batch kernel on the slice
+of each batch the parent hands them.
 
-Batches are sharded contiguously (``ceil(B / N)`` pairs per worker) and
-reassembled in submission order, so answers are **identical** to a single
-``query_batch`` call on the underlying store — only wall-clock changes.
+Batches are routed by home shard, split contiguously across each shard's
+live owners and reassembled in submission order, so answers are
+**identical** to a single ``query_batch`` call on the underlying store —
+only wall-clock changes.  An unsharded index is simply a 1-shard fleet:
+there is one dispatch path.
 
 The pool detects worker crashes (a died process, a broken pipe) and
 respawns the slot automatically, resubmitting the lost shard.  The
@@ -21,9 +24,9 @@ resets every time the slot completes a batch — so isolated crashes spread
 over a long-lived server's uptime never exhaust it.  A slot that *does*
 exhaust its streak budget is **retired** (quarantined permanently) rather
 than poisoning every later request with a raise: subsequent batches
-re-shard over the surviving workers, and when the last slot is gone the
-pool degrades to answering in-process on the parent's attached segment —
-slower, still bit-identical.  :meth:`health` reports the resulting state
+re-shard over the surviving workers, and a shard with no live owner is
+answered in-process by the parent's gather evaluator — slower, still
+bit-identical.  :meth:`health` reports the resulting state
 (``ok``/``degraded``/``critical``) for load balancers; ``stats()`` reports
 per-worker throughput, respawn and retirement counters.
 
@@ -47,12 +50,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core import store as store_module
 from repro.core.queries import SPCResult
-from repro.errors import QueryError, ServeError
+from repro.errors import ServeError
 from repro.serve.faults import FaultInjected, FaultPlan
 from repro.serve.router import GatherEvaluator, split_by_home_shard
-from repro.serve.shm import ShmIndexSegment, ShmSegmentFleet
+from repro.serve.shm import ShmSegmentFleet
 
 __all__ = ["WorkerPool"]
 
@@ -86,35 +88,26 @@ def _worker_main(
 ) -> None:
     """Worker process entry point: attach, then serve shards forever.
 
-    Protocol over the duplex pipe: parent sends an ``(s, t)`` int64 array
-    (one shard), a ``(shard, trace_id)`` tuple when the batch carries a
-    trace, or ``None`` (shutdown); worker answers
-    ``("ok", results_int64_array, kernel_seconds)`` where the array holds
-    one ``(dist, count)`` row per pair — with the trace id echoed as a
-    fourth element when the task carried one — or ``("err", message)``
-    when the kernel raised.  Untraced batches keep the original 3-element
-    shape, so mixed-version parent/worker pairs stay compatible.
+    ``manifest`` is the pool's fleet manifest annotated with the shard
+    list this worker owns (``"hot"``): the worker attaches only those
+    shards from shared memory and serves through a
+    :class:`~repro.serve.router.GatherEvaluator` that reaches foreign
+    shards via their memory-mapped spill files.
+
+    Protocol over the duplex pipe — one request shape, one reply shape:
+    the parent sends ``(pairs, trace_id)`` (an ``(s, t)`` int64 array and
+    the batch's trace id or ``None``) or ``None`` (shutdown); the worker
+    answers ``("ok", payload, kernel_seconds, trace_id)`` where
+    ``payload`` holds one ``(dist, count)`` row per pair, or
+    ``("err", message)`` when the kernel raised.
 
     ``plan`` is the parent's resolved :class:`FaultPlan`; ``batch_number``
     counts this process's life only (a respawn starts over at 1), so a
     ``crash_on_batch`` plan keeps firing on every successor — the
     sustained-failure scenario chaos runs measure availability under.
-
-    ``manifest`` is either one segment's manifest (the single-index pool)
-    or a **fleet manifest** annotated with the shard list this worker owns
-    (``"hot"``): the worker then attaches only its own shards in shared
-    memory and serves through a :class:`~repro.serve.router.GatherEvaluator`
-    that reaches foreign shards via their memory-mapped spill files — the
-    pipe protocol is identical either way.
     """
-    segment: ShmIndexSegment | None = None
-    fleet: ShmSegmentFleet | None = None
-    if store_module.is_fleet_manifest(manifest):
-        fleet = ShmSegmentFleet.attach(manifest)
-        store: object = GatherEvaluator(fleet)
-    else:
-        segment = ShmIndexSegment.attach(manifest)
-        store = segment.store
+    fleet = ShmSegmentFleet.attach(manifest)
+    evaluator = GatherEvaluator(fleet)
     conn.send(("ready", os.getpid()))
     batch_number = 0
     try:
@@ -125,9 +118,7 @@ def _worker_main(
                 break
             if task is None:
                 break
-            trace_id = None
-            if isinstance(task, tuple):
-                task, trace_id = task
+            pairs, trace_id = task
             batch_number += 1
             if plan.should_crash(worker_index, batch_number):
                 # simulate a hard crash (segfault/OOM-kill shape): no reply,
@@ -147,10 +138,10 @@ def _worker_main(
                         f"poisoned shard (worker {worker_index}, batch {batch_number})"
                     )
                 start = time.perf_counter()
-                results = store.query_batch(task)
+                results = evaluator.query_batch(pairs)
                 elapsed = time.perf_counter() - start
                 try:
-                    payload = np.fromiter(
+                    payload: object = np.fromiter(
                         (x for r in results for x in (r.dist, r.count)),
                         dtype=np.int64,
                         count=2 * len(results),
@@ -163,17 +154,10 @@ def _worker_main(
             except Exception as exc:  # noqa: BLE001 - forwarded to the parent
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
             else:
-                if trace_id is None:
-                    conn.send(("ok", payload, elapsed))
-                else:
-                    conn.send(("ok", payload, elapsed, trace_id))
+                conn.send(("ok", payload, elapsed, trace_id))
     finally:
-        store = None
         conn.close()
-        if fleet is not None:
-            fleet.close()
-        if segment is not None:
-            segment.close()
+        fleet.close()
 
 
 @dataclass
@@ -184,8 +168,7 @@ class _WorkerSlot:
     process: multiprocessing.process.BaseProcess
     conn: object
     pid: int
-    #: fleet mode only: the shard indices this worker owns (attached hot
-    #: when published); empty in single-segment mode.
+    #: the shard indices this worker owns (attached hot when published)
     shards: tuple[int, ...] = ()
     queries: int = 0
     batches: int = 0
@@ -210,22 +193,20 @@ class _WorkerSlot:
 
 
 class WorkerPool:
-    """N spawn-based processes serving ``query_batch`` over one shm segment.
+    """N spawn-based processes serving ``query_batch`` over a shard fleet.
 
-    ``counter`` is anything :meth:`ShmIndexSegment.publish` accepts (an
-    index facade or a flat label store); pass ``segment=`` instead to share
-    one already-published segment between pools.  The pool owns segments it
-    publishes and unlinks them on :meth:`close`.
-
-    With ``shards > 0`` (or an explicit ``fleet=``) the pool serves a
-    **sharded** index instead: the counter is partitioned through
-    :class:`~repro.serve.shm.ShmSegmentFleet`, workers become shard owners
-    (each attaches only its own shards hot), batches are split by home
-    shard and scatter/gathered back in submission order — bit-identical to
-    single-segment serving.  ``cold`` names shard indices kept out of
-    shared memory entirely (served from their memory-mapped spill files),
-    which is what lets the fleet's total label bytes exceed any single
-    worker's attached shm.
+    ``counter`` is anything :meth:`ShmSegmentFleet.publish` accepts (an
+    index facade or a flat label store); it is partitioned into ``shards``
+    vertex-range shards (default 1: the whole index as one shard) and the
+    pool owns — and unlinks on :meth:`close` — the fleet it publishes.
+    Pass ``fleet=`` instead to share one already-published fleet between
+    pools.  Workers are shard owners (each attaches only its own shards
+    hot), batches are split by home shard and scatter/gathered back in
+    submission order — bit-identical to one ``query_batch`` on the whole
+    store.  ``cold`` names shard indices kept out of shared memory
+    entirely (served from their memory-mapped spill files), which is what
+    lets the fleet's total label bytes exceed any single worker's attached
+    shm.
 
     Thread-safe: one internal lock serialises batch dispatch, so the pool
     can sit behind the admission-batching services (their executor threads
@@ -237,9 +218,8 @@ class WorkerPool:
         counter: object = None,
         workers: int = 2,
         *,
-        segment: ShmIndexSegment | None = None,
         fleet: ShmSegmentFleet | None = None,
-        shards: int = 0,
+        shards: int = 1,
         cold: Iterable[int] = (),
         max_respawns: int = 1,
         startup_timeout: float = _STARTUP_TIMEOUT,
@@ -247,33 +227,15 @@ class WorkerPool:
     ) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
-        self._owns_segment = False
-        self._owns_fleet = False
-        self._segment: ShmIndexSegment | None = None
-        self._fleet: ShmSegmentFleet | None = None
-        if fleet is not None or shards > 0:
-            if segment is not None:
-                raise ServeError(
-                    "pass either segment= (single index) or shards=/fleet= "
-                    "(sharded), not both"
-                )
-            if fleet is None:
-                if counter is None:
-                    raise ServeError("a sharded WorkerPool needs a counter or a fleet")
-                fleet = ShmSegmentFleet.publish(counter, shards=shards, cold=cold)
-                self._owns_fleet = True
-            self._fleet = fleet
-            self._n = fleet.n
-            self._local_eval: object = GatherEvaluator(fleet)
-        else:
-            if segment is None:
-                if counter is None:
-                    raise ServeError("WorkerPool needs a counter or a published segment")
-                segment = ShmIndexSegment.publish(counter)
-                self._owns_segment = True
-            self._segment = segment
-            self._n = segment.store.n
-            self._local_eval = segment.store
+        if shards < 1:
+            raise ServeError(f"shards must be >= 1, got {shards}")
+        self._owns_fleet = fleet is None
+        if fleet is None:
+            if counter is None:
+                raise ServeError("WorkerPool needs a counter or a published fleet")
+            fleet = ShmSegmentFleet.publish(counter, shards=shards, cold=cold)
+        self._fleet = fleet
+        self._local_eval = GatherEvaluator(fleet)
         self.workers = int(workers)
         self.max_respawns = int(max_respawns)
         self._startup_timeout = float(startup_timeout)
@@ -289,9 +251,8 @@ class WorkerPool:
         self._retries = 0
         self._fallback_batches = 0
         self._fallback_queries = 0
-        shard_count = self._fleet.shard_count if self._fleet is not None else 0
-        self._shard_queries = [0] * shard_count
-        self._shard_fallback = [0] * shard_count
+        self._shard_queries = [0] * fleet.shard_count
+        self._shard_fallback = [0] * fleet.shard_count
         #: optional event sink (duck-typed :class:`repro.obs.trace.Tracer`):
         #: worker lifecycle transitions — respawns, quarantines,
         #: retirements, fallback shards — land in its event ring.  Settable
@@ -330,7 +291,7 @@ class WorkerPool:
             tracer.event(kind, **fields)  # type: ignore[attr-defined]
 
     def _owned_shards(self, index: int) -> tuple[int, ...]:
-        """The shard indices worker ``index`` owns (empty in single mode).
+        """The shard indices worker ``index`` owns.
 
         With at least one worker per shard, each worker owns exactly one
         shard (surplus workers double up as replicas of the same shard);
@@ -338,28 +299,22 @@ class WorkerPool:
         still has exactly one owner.  Either way the union of all owners
         covers the fleet, so no shard is reachable only via fallback.
         """
-        if self._fleet is None:
-            return ()
         k = self._fleet.shard_count
         if self.workers >= k:
             return (index % k,)
         return tuple(j for j in range(k) if j % self.workers == index)
-
-    def _worker_manifest(self, index: int) -> dict:
-        """What worker ``index`` attaches: a segment or its slice of a fleet."""
-        if self._fleet is not None:
-            return dict(
-                self._fleet.manifest, hot=list(self._owned_shards(index))
-            )
-        assert self._segment is not None
-        return self._segment.manifest
 
     def _launch(self, index: int) -> "tuple[BaseProcess, Connection]":
         """Start one worker process; returns ``(process, parent_conn)``."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self._worker_manifest(index), child_conn, index, self._faults),
+            args=(
+                dict(self._fleet.manifest, hot=list(self._owned_shards(index))),
+                child_conn,
+                index,
+                self._faults,
+            ),
             name=f"repro-serve-worker-{index}",
             daemon=True,
         )
@@ -466,7 +421,7 @@ class WorkerPool:
         buffer hiccups should not burn a slot's crash budget, and the
         jitter keeps N dispatch threads from hammering the same instant.
         """
-        task: object = shard if trace_id is None else (shard, trace_id)
+        task = (shard, trace_id)
         retried = False
         while True:
             if not slot.process.is_alive():
@@ -501,7 +456,7 @@ class WorkerPool:
                     raise _KernelFailure(
                         f"worker {slot.index} kernel failed: {message[1]}"
                     )
-                payload, elapsed = message[1], message[2]
+                _, payload, elapsed, _ = message
                 slot.queries += len(shard)
                 slot.batches += 1
                 slot.kernel_seconds += float(elapsed)
@@ -551,40 +506,32 @@ class WorkerPool:
             pass
 
     def _local_payload(
-        self,
-        shard: np.ndarray,
-        rows: "list[dict] | None" = None,
-        shard_index: int = -1,
+        self, shard: np.ndarray, rows: "list[dict] | None", shard_index: int
     ) -> list[tuple[int, int]]:
-        """Answer a sub-batch in-process on the parent's own evaluator.
+        """Answer a sub-batch in-process on the parent's gather evaluator.
 
-        The degradation endpoint: bit-identical to a worker's kernel (the
-        same store in single-segment mode, a parent-side
-        :class:`~repro.serve.router.GatherEvaluator` over the same fleet in
-        sharded mode), just on the dispatching thread.  Returns the
+        The degradation endpoint: bit-identical to a worker's kernel (a
+        parent-side :class:`~repro.serve.router.GatherEvaluator` over the
+        same fleet), just on the dispatching thread.  Returns the
         plain-tuple payload form so reassembly treats it exactly like a
         worker's overflow reply.
         """
         self._fallback_queries += len(shard)
-        if 0 <= shard_index < len(self._shard_fallback):
-            self._shard_fallback[shard_index] += len(shard)
+        self._shard_fallback[shard_index] += len(shard)
         self._note("fallback_shard", pairs=len(shard), shard=shard_index)
         start = time.perf_counter()
-        payload = [
-            (r.dist, r.count)
-            for r in self._local_eval.query_batch(shard)  # type: ignore[attr-defined]
-        ]
+        payload = [(r.dist, r.count) for r in self._local_eval.query_batch(shard)]
         if rows is not None:
-            row = {
-                "worker": -1,
-                "pairs": len(shard),
-                "kernel_ms": round((time.perf_counter() - start) * 1e3, 3),
-                "pipe_ms": 0.0,
-                "source": "fallback",
-            }
-            if self._fleet is not None:
-                row["shard"] = shard_index
-            rows.append(row)
+            rows.append(
+                {
+                    "worker": -1,
+                    "shard": shard_index,
+                    "pairs": len(shard),
+                    "kernel_ms": round((time.perf_counter() - start) * 1e3, 3),
+                    "pipe_ms": 0.0,
+                    "source": "fallback",
+                }
+            )
         return payload
 
     def query_batch(
@@ -592,12 +539,11 @@ class WorkerPool:
     ) -> list[SPCResult]:
         """Evaluate a workload sharded across the live workers, in input order.
 
-        The batch is split contiguously into ``ceil(B / live)``-sized
-        shards, one per surviving (non-retired) worker, evaluated
-        concurrently, and reassembled — answers are identical to one
-        ``query_batch`` call on the published store.  A sharded pool routes
-        each pair to its home shard's live owners first (see
-        :meth:`_plan`); a shard whose owners all retired is answered by
+        Each pair is routed to its home shard, and each shard's pairs are
+        split contiguously across that shard's surviving (non-retired)
+        owners, evaluated concurrently, and reassembled — answers are
+        identical to one ``query_batch`` call on the published store (see
+        :meth:`_plan`).  A shard whose owners all retired is answered by
         the parent's gather evaluator, per shard.  A slot retiring
         mid-batch (crash streak exhausted) hands its orphaned sub-batch to
         the in-process fallback instead of failing the request; with every
@@ -605,19 +551,19 @@ class WorkerPool:
         ``critical`` health.
 
         ``trace`` is an optional :class:`repro.obs.trace.TraceContext`:
-        when given, its id rides the pipe protocol to every worker and
-        back, per-shard worker attribution lands in the trace's
-        ``shards`` annotation, and ``kernel`` / ``pipe`` spans record the
+        its id rides the pipe protocol to every worker and back,
+        per-shard worker attribution lands in the trace's ``shards``
+        annotation, and ``kernel`` / ``pipe`` spans record the
         critical-path worker kernel time and the residual round-trip
         overhead.
         """
         from repro.core.engine import validate_pairs
 
-        pairs_arr = validate_pairs(pairs, self._n)
+        pairs_arr = validate_pairs(pairs, self.n)
         if len(pairs_arr) == 0:
             return []
         rows: "list[dict] | None" = [] if trace is not None else None
-        trace_id = getattr(trace, "trace_id", None) if trace is not None else None
+        trace_id = getattr(trace, "trace_id", None)
         dispatch_start = time.perf_counter()
         with self._lock:
             if self._closed:
@@ -626,18 +572,9 @@ class WorkerPool:
             if not live:
                 # the whole pool is gone: serve degraded rather than dead
                 self._fallback_batches += 1
-                positions_all = np.arange(len(pairs_arr), dtype=np.int64)
-                payloads: list[tuple[np.ndarray, object]] = [
-                    (positions_all, self._local_payload(pairs_arr, rows))
-                ]
-                self._batches += 1
-                self._queries += len(pairs_arr)
-            else:
-                payloads = self._dispatch_live(
-                    pairs_arr, live, rows=rows, trace_id=trace_id
-                )
-                self._batches += 1
-                self._queries += len(pairs_arr)
+            payloads = self._dispatch_live(pairs_arr, live, rows, trace_id)
+            self._batches += 1
+            self._queries += len(pairs_arr)
         if trace is not None and rows is not None:
             total = time.perf_counter() - dispatch_start
             kernel = max((row["kernel_ms"] / 1e3 for row in rows), default=0.0)
@@ -664,25 +601,14 @@ class WorkerPool:
     ) -> "list[tuple[_WorkerSlot | None, np.ndarray, np.ndarray, int]]":
         """Split a batch into ``(slot, sub_pairs, positions, shard)`` tasks.
 
-        Single-segment mode splits contiguously into ``ceil(B / live)``
-        chunks (``shard`` is ``-1``).  Sharded mode first routes each pair
-        to its home shard (the shard owning ``min(s, t)``), then splits
-        each shard's pairs contiguously across that shard's live owners.
-        A shard with no live owner yields a ``(None, ...)`` task that the
-        dispatcher answers on the parent's evaluator — the per-shard
-        degradation path.
+        Each pair is routed to its home shard (the shard owning
+        ``min(s, t)``), then each shard's pairs are split contiguously
+        into ``ceil(len / owners)`` chunks across that shard's live
+        owners.  A shard with no live owner yields a ``(None, ...)`` task
+        that the dispatcher answers on the parent's evaluator — the
+        per-shard degradation path.
         """
         plan: "list[tuple[_WorkerSlot | None, np.ndarray, np.ndarray, int]]" = []
-        if self._fleet is None:
-            chunk = -(-len(pairs_arr) // len(live))  # ceil division
-            for i, slot in enumerate(live):
-                positions = np.arange(
-                    i * chunk, min((i + 1) * chunk, len(pairs_arr)), dtype=np.int64
-                )
-                if len(positions) == 0:
-                    break
-                plan.append((slot, pairs_arr[positions], positions, -1))
-            return plan
         for shard, positions in split_by_home_shard(self._fleet.bounds, pairs_arr):
             owners = [slot for slot in live if shard in slot.shards]
             if not owners:
@@ -700,8 +626,8 @@ class WorkerPool:
         self,
         pairs_arr: np.ndarray,
         live: list[_WorkerSlot],
-        rows: "list[dict] | None" = None,
-        trace_id: "str | None" = None,
+        rows: "list[dict] | None",
+        trace_id: "str | None",
     ) -> "list[tuple[np.ndarray, object]]":
         """Run the dispatch plan over ``live`` slots; returns
         ``(positions, payload)`` per task.
@@ -712,12 +638,12 @@ class WorkerPool:
         so the next batch can never read a leftover payload as its own.  A
         task whose slot *retires* is not a failure — its work lands in
         ``orphans`` and is answered in-process after the survivors reply,
-        as is (in sharded mode) any task whose shard has no live owner.
+        as is any task whose shard has no live owner.
 
         With ``rows`` given, one attribution dict per task is appended:
-        worker index, pair count, worker-measured kernel time and the
-        residual pipe round-trip (send to reassembled reply, minus kernel);
-        sharded dispatch adds the task's home shard.
+        worker index, home shard, pair count, worker-measured kernel time
+        and the residual pipe round-trip (send to reassembled reply, minus
+        kernel).
         """
         assignments = self._plan(pairs_arr, live)
         failure: BaseException | None = None
@@ -726,8 +652,7 @@ class WorkerPool:
         for task_id, (slot, sub_pairs, _positions, shard_index) in enumerate(
             assignments
         ):
-            if 0 <= shard_index < len(self._shard_queries):
-                self._shard_queries[shard_index] += len(sub_pairs)
+            self._shard_queries[shard_index] += len(sub_pairs)
             if slot is None:
                 orphans.append((task_id, sub_pairs, shard_index))
                 continue
@@ -748,18 +673,18 @@ class WorkerPool:
                     payload_at[task_id] = payload
                     if rows is not None:
                         round_trip = time.perf_counter() - sent_at
-                        row = {
-                            "worker": slot.index,
-                            "pairs": len(sub_pairs),
-                            "kernel_ms": round(kernel_s * 1e3, 3),
-                            "pipe_ms": round(
-                                max(round_trip - kernel_s, 0.0) * 1e3, 3
-                            ),
-                            "source": "worker",
-                        }
-                        if self._fleet is not None:
-                            row["shard"] = shard_index
-                        rows.append(row)
+                        rows.append(
+                            {
+                                "worker": slot.index,
+                                "shard": shard_index,
+                                "pairs": len(sub_pairs),
+                                "kernel_ms": round(kernel_s * 1e3, 3),
+                                "pipe_ms": round(
+                                    max(round_trip - kernel_s, 0.0) * 1e3, 3
+                                ),
+                                "source": "worker",
+                            }
+                        )
                     continue
                 except _KernelFailure as exc:
                     failure = exc  # reply consumed: slot already clean
@@ -790,7 +715,7 @@ class WorkerPool:
     @property
     def n(self) -> int:
         """Number of vertices the published index serves."""
-        return self._n
+        return self._fleet.n
 
     @property
     def directed(self) -> bool:
@@ -799,26 +724,21 @@ class WorkerPool:
         Mirrors the counter classes' ``directed`` flag so the services'
         point cache keys pairs correctly when dispatching through a pool.
         """
-        if self._fleet is not None:
-            return self._fleet.directed
-        assert self._segment is not None
-        return self._segment.directed
+        return self._fleet.directed
 
     @property
     def shard_count(self) -> int:
-        """Number of shards served (0 for a single-segment pool)."""
-        return self._fleet.shard_count if self._fleet is not None else 0
+        """Number of shards served (1 for an unsharded index)."""
+        return self._fleet.shard_count
 
     def shard_states(self) -> list[dict]:
-        """Per-shard ownership snapshot (empty for a single-segment pool).
+        """Per-shard ownership snapshot.
 
         Deliberately lock-free, like :meth:`health`: health probes read it
         while a slow batch holds the dispatch lock.  A shard whose every
         owner retired reports ``live_owners == 0`` and is being served by
         the parent's gather fallback.
         """
-        if self._fleet is None:
-            return []
         states = []
         for entry in self._fleet.manifest["shards"]:
             shard = int(entry["shard"])
@@ -868,11 +788,6 @@ class WorkerPool:
                 "dispatch_retries": self._retries,
                 "fallback_batches": self._fallback_batches,
                 "fallback_queries": self._fallback_queries,
-                "segment_bytes": (
-                    self._fleet.total_label_bytes
-                    if self._fleet is not None
-                    else self._segment.nbytes  # type: ignore[union-attr]
-                ),
                 "per_worker": [
                     {
                         "worker": slot.index,
@@ -888,15 +803,11 @@ class WorkerPool:
                     }
                     for slot in self._slots
                 ],
-                "fleet": (
-                    {
-                        "shards": self._fleet.shard_count,
-                        "total_label_bytes": self._fleet.total_label_bytes,
-                        "per_shard": self.shard_states(),
-                    }
-                    if self._fleet is not None
-                    else None
-                ),
+                "fleet": {
+                    "shards": self._fleet.shard_count,
+                    "total_label_bytes": self._fleet.total_label_bytes,
+                    "per_shard": self.shard_states(),
+                },
             }
 
     def _shutdown(self, force: bool = False) -> None:
@@ -915,15 +826,12 @@ class WorkerPool:
                 slot.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        if self._owns_segment and self._segment is not None:
-            self._segment.close()
-            self._segment.unlink()
-        if self._owns_fleet and self._fleet is not None:
+        if self._owns_fleet:
             self._fleet.close()
             self._fleet.unlink()
 
     def close(self) -> None:
-        """Stop the workers and release (unlink) an owned segment."""
+        """Stop the workers and release (unlink) an owned fleet."""
         with self._lock:
             if self._closed:
                 return
@@ -944,7 +852,7 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         return (
-            f"WorkerPool(workers={self.workers}, n={self._n}, "
+            f"WorkerPool(workers={self.workers}, shards={self.shard_count}, n={self.n}, "
             f"batches={self._batches}, queries={self._queries}, "
             f"{'closed' if self._closed else 'live'})"
         )

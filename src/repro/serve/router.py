@@ -1,8 +1,7 @@
 """Shard routing and the scatter/gather evaluator over a segment fleet.
 
-The single-segment pool answers every pair against one whole-index store.
-A sharded fleet splits the label arrays by contiguous vertex ranges, so a
-pair ``(s, t)`` may straddle shards: its **home shard** — the shard owning
+A fleet splits the label arrays by contiguous vertex ranges (one range
+for an unsharded index), so a pair ``(s, t)`` may straddle shards: its **home shard** — the shard owning
 ``min(s, t)`` — holds one endpoint's labels locally and must *gather* the
 far endpoint's slice from the foreign shard.
 
@@ -104,7 +103,10 @@ class GatherEvaluator:
 
     # ------------------------------------------------------------------
     def query_batch(self, pairs: Sequence[tuple[int, int]]) -> "list[SPCResult]":
-        """Evaluate a batch; answers match the single-segment path bit-for-bit."""
+        """Evaluate a batch; answers match the whole-index store bit-for-bit."""
+        if len(self._bounds) == 2:
+            # a 1-shard fleet: the shard store is the whole index
+            return self._fleet.store_for(0).query_batch(pairs)
         pairs_arr = validate_pairs(pairs, self.n)
         if len(pairs_arr) == 0:
             return []

@@ -1,7 +1,7 @@
 """Shared-memory array blocks: publish numpy arrays to worker processes.
 
 Flat numpy buffers are exactly the shape ``multiprocessing.shared_memory``
-can expose **zero-copy** across process boundaries.  Two layers live here:
+can expose **zero-copy** across process boundaries.  Three layers live here:
 
 * :class:`ShmArrayBlock` — the general substrate: a dict of named arrays
   copied once into a single named shared-memory block, described by a
@@ -15,6 +15,10 @@ can expose **zero-copy** across process boundaries.  Two layers live here:
   shared-memory buffer instead of a zip member, and :attr:`~ShmIndexSegment.store`
   rebuilds a queryable :class:`~repro.core.compact.CompactLabelIndex`
   (or the directed variant) over the attached views.
+
+* :class:`ShmSegmentFleet` — one index partitioned into vertex-range
+  shards, each hot shard one :class:`ShmIndexSegment`; the unit the
+  serving pool publishes (an unsharded index is a 1-shard fleet).
 
 Lifecycle is explicit — :meth:`ShmArrayBlock.close` detaches,
 :meth:`ShmArrayBlock.unlink` removes the block from the system — with a
@@ -30,7 +34,7 @@ import secrets
 import shutil
 import tempfile
 import weakref
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -259,13 +263,11 @@ class ShmArrayBlock:
             raise ServeError(
                 f"cannot attach shm segment {manifest.get('shm_name')!r}: {exc}"
             ) from exc
-        # the attaching side must not let its resource tracker count the
-        # segment: the publisher owns the unlink, and double-tracking makes
-        # Python warn about (and try to clean) "leaked" segments at exit
-        try:  # pragma: no cover - tracker internals vary across versions
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
+        # no resource_tracker.unregister here: spawned attachers share the
+        # publisher's tracker, whose registry is a set, so the attach-side
+        # register is a no-op — while an attach-side unregister would drop
+        # the publisher's entry and make its own unlink raise KeyError
+        # inside the tracker process
         return shm, dict(manifest)
 
     def _build_views(self, writable: bool) -> dict[str, np.ndarray]:
@@ -415,17 +417,8 @@ class ShmIndexSegment(ShmArrayBlock):
     arrays copied exactly once; every attached view reads the same pages.
     Store views are always read-only (queries never mutate labels).
 
-    Examples
-    --------
-    >>> from repro.graph import cycle_graph
-    >>> from repro.core.index import PSPCIndex
-    >>> index = PSPCIndex.build(cycle_graph(6))
-    >>> with ShmIndexSegment.publish(index) as segment:
-    ...     twin = ShmIndexSegment.attach(segment.manifest)
-    ...     answer = twin.store.query(0, 3).count
-    ...     twin.close()
-    >>> answer
-    2
+    Serving publishes and attaches segments only through
+    :class:`ShmSegmentFleet`, one segment per hot shard.
     """
 
     _MANIFEST_FORMAT = "repro-shm-segment"

@@ -385,26 +385,6 @@ class TestQueryService:
         assert latency["point"] < 0.25, latency
 
 
-class TestDeprecatedShims:
-    """The function-based builders survive as shims that warn and delegate."""
-
-    def test_shims_warn_and_still_answer(self, graph):
-        from repro.core.hpspc import build_hpspc, hpspc_index
-        from repro.core.pspc import pspc_index
-        from repro.ordering.degree import degree_order
-
-        order = degree_order(graph)
-        with pytest.warns(DeprecationWarning, match="build_hpspc"):
-            labels, stats = build_hpspc(graph, order)
-        assert stats.builder == "hpspc"
-        with pytest.warns(DeprecationWarning, match="hpspc_index"):
-            via_hpspc = hpspc_index(graph, order)
-        with pytest.warns(DeprecationWarning, match="pspc_index"):
-            via_pspc = pspc_index(graph, order)
-        # canonical-label uniqueness: all three shim paths agree
-        assert labels == via_hpspc == via_pspc
-
-
 class TestSharedVerifier:
     @pytest.mark.parametrize("name", ("pspc", "hpspc", "directed"))
     def test_verify_against_bfs_delegates(self, name, counters):

@@ -31,7 +31,7 @@ from repro.graph.generators import barabasi_albert, path_graph
 from repro.obs.explain import explain_pairs
 from repro.obs.profile import BuildProfiler, render_profile
 from repro.obs.trace import SPAN_NAMES, TraceContext, Tracer, new_trace_id
-from repro.serve import AsyncQueryService, ShmIndexSegment, WorkerPool
+from repro.serve import AsyncQueryService, ShmSegmentFleet, WorkerPool
 from repro.serve.metrics import LatencyHistogram, render_prometheus
 
 
@@ -220,12 +220,12 @@ class TestTracePropagation:
 
     def test_trace_id_rides_pool_pipes(self, obs_index):
         """A caller-supplied id crosses the worker pipe and comes back."""
-        segment = ShmIndexSegment.publish(obs_index)
+        fleet = ShmSegmentFleet.publish(obs_index, shards=1)
         try:
             tracer = Tracer()
 
             async def main():
-                pool = WorkerPool(segment=segment, workers=2)
+                pool = WorkerPool(fleet=fleet, workers=2)
                 try:
                     async with AsyncQueryService(
                         pool=pool, batch_size=4, max_wait=0.001, tracer=tracer
@@ -251,15 +251,15 @@ class TestTracePropagation:
                 for span in ("kernel", "pipe", "flush", "total"):
                     assert span in record["spans_ms"], (record, span)
         finally:
-            segment.close()
-            segment.unlink()
+            fleet.close()
+            fleet.unlink()
 
     def test_degraded_fallback_still_traces(self, obs_index):
         """All workers retired: the in-process fallback answers, traced."""
-        segment = ShmIndexSegment.publish(obs_index)
+        fleet = ShmSegmentFleet.publish(obs_index, shards=1)
         try:
             tracer = Tracer()
-            pool = WorkerPool(segment=segment, workers=1)
+            pool = WorkerPool(fleet=fleet, workers=1)
             pool.tracer = tracer
             try:
                 for slot in pool._slots:
@@ -279,8 +279,8 @@ class TestTracePropagation:
             kinds = {e["kind"] for e in tracer.events()}
             assert "worker_retired" in kinds and "fallback_shard" in kinds
         finally:
-            segment.close()
-            segment.unlink()
+            fleet.close()
+            fleet.unlink()
 
     def test_http_header_round_trip(self, obs_index):
         """X-Repro-Trace-Id: request header → service → response header →

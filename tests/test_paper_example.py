@@ -12,15 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.hpspc import hpspc_index
-from repro.core.pspc import pspc_index
+from repro.core.hpspc import HPSPCIndex
+from repro.core.pspc import build_pspc
 from repro.core.queries import spc_query
 from repro.graph.traversal import spc_pair
-
-# the Table II reproduction exercises the deprecated raw-builder shims on
-# purpose (their label lists ARE the published table); warning asserted in
-# test_api.py
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 #: Table II, transcribed with vertices as 0-based ids (v_i -> i-1).
 TABLE_II = {
@@ -39,7 +34,7 @@ TABLE_II = {
 
 @pytest.fixture
 def built(paper_graph, paper_order):
-    return pspc_index(paper_graph, paper_order)
+    return build_pspc(paper_graph, paper_order)[0]
 
 
 class TestTableII:
@@ -51,7 +46,7 @@ class TestTableII:
             assert actual == sorted(expected), f"label mismatch at v{v + 1}"
 
     def test_hpspc_reproduces_table(self, paper_graph, paper_order):
-        index = hpspc_index(paper_graph, paper_order)
+        index = HPSPCIndex.build(paper_graph, paper_order, store="tuple").labels
         for v, expected in TABLE_II.items():
             actual = sorted(
                 (entry.hub, entry.dist, entry.count) for entry in index.label(v)
@@ -98,7 +93,7 @@ class TestIntroductionFigure1:
         ids = {name: i for i, name in enumerate(names)}
         from repro.ordering.degree import degree_order
 
-        index = pspc_index(g, degree_order(g))
+        index, _ = build_pspc(g, degree_order(g))
         to_t1 = spc_query(index, ids["s"], ids["t1"])
         to_t2 = spc_query(index, ids["s"], ids["t2"])
         assert to_t1.dist == to_t2.dist == 2

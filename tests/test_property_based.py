@@ -9,21 +9,26 @@ the propagation paradigm and the landmark filter.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hpspc import hpspc_index
-from repro.core.pspc import pspc_index
+from repro.core.hpspc import HPSPCIndex
+from repro.core.pspc import build_pspc
 from repro.core.queries import spc_query
-
-# property tests target the raw label builders through their deprecated
-# shims (the invariants are about the builders, not the facades)
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 from repro.graph.graph import Graph
 from repro.graph.traversal import spc_pair
 from repro.ordering.base import VertexOrder
 from repro.ordering.degree import degree_order
 from repro.reduction.pipeline import ReducedSPCIndex
+
+
+def pspc_labels(graph, order, **kwargs):
+    """The raw tuple labels the reference PSPC builder produces."""
+    return build_pspc(graph, order, **kwargs)[0]
+
+
+def hpspc_labels(graph, order):
+    """The raw tuple labels HP-SPC builds under ``order``."""
+    return HPSPCIndex.build(graph, order, store="tuple").labels
 
 
 @st.composite
@@ -46,14 +51,14 @@ def graphs_with_orders(draw, max_n: int = 12) -> tuple[Graph, VertexOrder]:
 @given(graphs_with_orders())
 def test_pspc_equals_hpspc_for_any_order(data):
     graph, order = data
-    assert pspc_index(graph, order) == hpspc_index(graph, order)
+    assert pspc_labels(graph, order) == hpspc_labels(graph, order)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_orders())
 def test_index_answers_match_bfs_for_all_pairs(data):
     graph, order = data
-    index = pspc_index(graph, order)
+    index = pspc_labels(graph, order)
     for s in range(graph.n):
         for t in range(graph.n):
             result = spc_query(index, s, t)
@@ -64,14 +69,14 @@ def test_index_answers_match_bfs_for_all_pairs(data):
 @given(graphs_with_orders())
 def test_push_and_pull_build_identical_indexes(data):
     graph, order = data
-    assert pspc_index(graph, order, paradigm="push") == pspc_index(graph, order, paradigm="pull")
+    assert pspc_labels(graph, order, paradigm="push") == pspc_labels(graph, order, paradigm="pull")
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs_with_orders(), st.integers(min_value=1, max_value=6))
 def test_landmarks_never_change_the_index(data, k):
     graph, order = data
-    assert pspc_index(graph, order, num_landmarks=k) == pspc_index(graph, order)
+    assert pspc_labels(graph, order, num_landmarks=k) == pspc_labels(graph, order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,7 +112,7 @@ def test_weighted_counting_matches_blowup(graph, weights):
                 blow_edges.append((offsets[u] + i, offsets[v] + j))
     blown = Graph(int(offsets[-1]), blow_edges)
 
-    index = pspc_index(weighted, degree_order(weighted))
+    index = pspc_labels(weighted, degree_order(weighted))
     for s in range(graph.n):
         for t in range(graph.n):
             if s == t:
@@ -132,7 +137,7 @@ def test_bidirectional_bfs_matches_unidirectional(graph):
 def test_compact_index_matches_tuple_index(graph):
     from repro.core.compact import CompactLabelIndex
 
-    index = pspc_index(graph, degree_order(graph))
+    index = pspc_labels(graph, degree_order(graph))
     compact = CompactLabelIndex.from_index(index)
     for s in range(graph.n):
         for t in range(graph.n):
@@ -178,5 +183,5 @@ def test_full_audit_accepts_every_built_index(data):
     from repro.core.verify import audit_full
 
     graph, order = data
-    index = pspc_index(graph, order)
+    index = pspc_labels(graph, order)
     audit_full(index, graph, query_samples=None)

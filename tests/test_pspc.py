@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.hpspc import hpspc_index
+from repro.core.hpspc import HPSPCIndex
 from repro.core.parallel import SerialBackend, ThreadBackend
-from repro.core.pspc import build_pspc, pspc_index
+from repro.core.pspc import build_pspc
 from repro.core.queries import spc_query
 from repro.errors import IndexBuildError
 from repro.graph.generators import (
@@ -23,9 +23,15 @@ from repro.graph.traversal import spc_pair
 from repro.ordering.degree import degree_order
 from repro.ordering.hybrid import hybrid_order
 
-# this module deliberately exercises the deprecated function-based builder
-# shims (`pspc_index`/`hpspc_index`); the facade path lives in test_api.py
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+def pspc_labels(graph, order, **kwargs):
+    """The raw tuple labels the reference PSPC builder produces."""
+    return build_pspc(graph, order, **kwargs)[0]
+
+
+def hpspc_labels(graph, order):
+    """The raw tuple labels HP-SPC builds under ``order``."""
+    return HPSPCIndex.build(graph, order, store="tuple").labels
 
 
 class TestEquivalenceWithBaseline:
@@ -45,36 +51,36 @@ class TestEquivalenceWithBaseline:
     def test_identical_to_hpspc(self, graph_factory):
         graph = graph_factory()
         order = degree_order(graph)
-        assert pspc_index(graph, order) == hpspc_index(graph, order)
+        assert pspc_labels(graph, order) == hpspc_labels(graph, order)
 
     def test_identical_under_hybrid_order(self, road_graph):
         order = hybrid_order(road_graph)
-        assert pspc_index(road_graph, order) == hpspc_index(road_graph, order)
+        assert pspc_labels(road_graph, order) == hpspc_labels(road_graph, order)
 
     def test_pull_equals_push(self, social_graph):
         order = degree_order(social_graph)
-        pull = pspc_index(social_graph, order, paradigm="pull")
-        push = pspc_index(social_graph, order, paradigm="push")
+        pull = pspc_labels(social_graph, order, paradigm="pull")
+        push = pspc_labels(social_graph, order, paradigm="push")
         assert pull == push
 
     def test_thread_backend_does_not_change_index(self, social_graph):
         order = degree_order(social_graph)
-        serial = pspc_index(social_graph, order, backend=SerialBackend())
+        serial = pspc_labels(social_graph, order, backend=SerialBackend())
         backend = ThreadBackend(4)
-        threaded = pspc_index(social_graph, order, backend=backend)
+        threaded = pspc_labels(social_graph, order, backend=backend)
         backend.close()
         assert serial == threaded
 
     def test_landmarks_do_not_change_index(self, social_graph):
         order = degree_order(social_graph)
-        plain = pspc_index(social_graph, order, num_landmarks=0)
-        filtered = pspc_index(social_graph, order, num_landmarks=20)
+        plain = pspc_labels(social_graph, order, num_landmarks=0)
+        filtered = pspc_labels(social_graph, order, num_landmarks=20)
         assert plain == filtered
 
 
 class TestCorrectness:
     def test_all_pairs_on_paper_graph(self, paper_graph, paper_order):
-        index = pspc_index(paper_graph, paper_order)
+        index = pspc_labels(paper_graph, paper_order)
         for s in range(10):
             for t in range(10):
                 result = spc_query(index, s, t)
@@ -82,19 +88,19 @@ class TestCorrectness:
 
     def test_weighted_counting(self):
         g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], vertex_weights=[1, 2, 1, 3, 1])
-        index = pspc_index(g, degree_order(g))
+        index = pspc_labels(g, degree_order(g))
         # 0->3: 0-1-3 (x2) + 0-2-3 (x1) = 3; 0->4 adds internal vertex 3 (x3)
         assert spc_query(index, 0, 3).count == 3
         assert spc_query(index, 0, 4).count == 9
 
     def test_empty_graph(self):
         g = Graph(0, [])
-        index = pspc_index(g, degree_order(g))
+        index = pspc_labels(g, degree_order(g))
         assert index.total_entries() == 0
 
     def test_single_vertex(self):
         g = Graph(1, [])
-        index = pspc_index(g, degree_order(g))
+        index = pspc_labels(g, degree_order(g))
         assert spc_query(index, 0, 0).count == 1
 
 

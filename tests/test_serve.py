@@ -267,6 +267,76 @@ class TestWorkerPool:
         pool.close()  # idempotent
         assert _segment_files() == before
 
+    def test_default_pool_is_one_shard_and_exact_on_overflow_grid(self):
+        """An unsharded pool is a 1-shard fleet, bit-identical even where
+        the kernel leaves int64 for its exact per-pair fallback."""
+        from repro.core.engine import _batch_is_safe
+
+        graph = grid_road_network(20, 20)
+        index = PSPCIndex.build(graph)
+        assert not _batch_is_safe(index.store, 1)  # the per-pair regime
+        pairs = _random_pairs(graph.n, 300) + [(0, graph.n - 1)]
+        with WorkerPool(index, workers=2) as pool:
+            assert pool.shard_count == 1
+            assert pool.stats()["fleet"]["shards"] == 1
+            assert pool.query_batch(pairs) == index.query_batch(pairs)
+
+    def test_default_directed_pool_is_one_shard(self, directed_index):
+        pairs = _random_pairs(directed_index.n, 200, seed=11)
+        with WorkerPool(directed_index, workers=2) as pool:
+            assert pool.shard_count == 1 and pool.directed is True
+            assert pool.query_batch(pairs) == directed_index.query_batch(pairs)
+
+    def test_traced_and_untraced_share_one_frame(self, served_index):
+        """Every request is ``(pairs, trace_id)`` and every reply
+        ``("ok", payload, kernel_s, trace_id)``, traced or not."""
+        from repro.obs.trace import Tracer
+
+        class RecordingConn:
+            def __init__(self, conn):
+                self.conn, self.sent, self.received = conn, [], []
+
+            def send(self, obj):
+                self.sent.append(obj)
+                self.conn.send(obj)
+
+            def recv(self):
+                message = self.conn.recv()
+                self.received.append(message)
+                return message
+
+            def poll(self, timeout):
+                return self.conn.poll(timeout)
+
+            def close(self):
+                self.conn.close()
+
+        pairs = _random_pairs(served_index.n, 200)
+        ctx = Tracer().new_trace(*pairs[0])
+        with WorkerPool(served_index, workers=2) as pool:
+            conns = [RecordingConn(slot.conn) for slot in pool._slots]
+            for slot, conn in zip(pool._slots, conns):
+                slot.conn = conn
+            plain = pool.query_batch(pairs)
+            traced = pool.query_batch(pairs, trace=ctx)
+            for slot, conn in zip(pool._slots, conns):
+                slot.conn = conn.conn
+        assert plain == traced == served_index.query_batch(pairs)
+        for conn in conns:
+            assert [len(task) for task in conn.sent] == [2, 2]
+            assert [task[1] for task in conn.sent] == [None, ctx.trace_id]
+            assert [(m[0], len(m), m[3]) for m in conn.received] == [
+                ("ok", 4, None),
+                ("ok", 4, ctx.trace_id),
+            ]
+        assert {row["source"] for row in ctx.annotations["shards"]} == {"worker"}
+
+    def test_shard_count_below_one_rejected(self, served_index):
+        with pytest.raises(ServeError, match="shards"):
+            WorkerPool(served_index, workers=1, shards=0)
+        with pytest.raises(ServeError, match="shards"):
+            AsyncQueryService(served_index, workers=1, shards=0)
+
 
 # ----------------------------------------------------------------------
 # async service
@@ -662,6 +732,55 @@ def test_cli_serve_end_to_end(tmp_path):
     finally:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0
+    assert _segment_files() == before
+
+
+_TRACKER_PROBE = """
+from repro import build_index
+from repro.core.index import BuildConfig
+from repro.graph.generators import barabasi_albert
+from repro.serve.pool import WorkerPool
+
+if __name__ == "__main__":
+    graph = barabasi_albert(300, 3, seed=1)
+    config = BuildConfig(engine="parallel", workers=2)
+    for _ in range(2):
+        index = build_index(graph, method="pspc", config=config)
+    with WorkerPool(index, workers=2) as pool:
+        assert pool.query_batch([(0, 5), (3, 9)]) == index.query_batch([(0, 5), (3, 9)])
+    print("ok")
+"""
+
+
+def test_no_resource_tracker_noise(tmp_path):
+    """Parallel builds and a pool, back to back in one process, leave no
+    ``resource_tracker`` traceback on stderr and no segment in /dev/shm.
+
+    Spawned attachers share the publisher's resource tracker; an
+    attach-side unregister would drop the publisher's entry, and the
+    publisher's own unlink would then raise ``KeyError`` in the tracker.
+    """
+    script = tmp_path / "tracker_probe.py"
+    script.write_text(_TRACKER_PROBE)
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    before = _segment_files()
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+    noise = [
+        line
+        for line in result.stderr.splitlines()
+        if "resource_tracker" in line or "KeyError" in line
+    ]
+    assert not noise, result.stderr
     assert _segment_files() == before
 
 
