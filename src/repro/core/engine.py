@@ -21,11 +21,18 @@ contiguous segment reduced with ``np.minimum.reduceat`` /
 ``ufunc.at`` scatter path).
 
 Counts are the correctness corner: the vectorized kernel accumulates in
-``int64`` while the scalar kernels use Python ints.  The engine therefore
-precomputes a conservative overflow bound (``max_count^2 * max_weight *
-max_label_size``) when it is built and silently falls back to the exact
-per-pair path whenever a batch could overflow — results are identical to
-the tuple kernel in every regime, only the speed differs.
+``int64`` while the scalar kernels use Python ints.  The kernel forms the
+count products only on each pair's at-best entries and sums them twice:
+in ``int64`` (which wraps modulo ``2**64``, so its sum is exact whenever
+the true sum fits) and in a ``float64`` twin of the absolute products.  A
+pair whose twin sum reaches ``2**62`` is recomputed alone on the exact
+per-pair path; every other pair stays on the fast path, and no call scans
+the store's label arrays.  :func:`query_batch_arrays` returns the answers
+as ``(dist, count, exact)`` — two int64 arrays plus a small
+``{position: count}`` map of the pairs beyond int64 — and every batch
+entry point (:func:`query_batch_compact`, the shard gather evaluator, the
+worker pool's pipes) is a view over that one contract.  Results are
+identical to the tuple kernel in every regime.
 """
 
 from __future__ import annotations
@@ -36,11 +43,20 @@ import numpy as np
 
 from repro.core.compact import CompactLabelIndex
 from repro.core.labels import LabelIndex
-from repro.core.queries import SPCResult, merge_labels, spc_query, spc_query_with_cost
+from repro.core.queries import SPCResult, spc_query, spc_query_with_cost
 from repro.errors import QueryError
 from repro.graph.traversal import UNREACHABLE, slice_positions
 
-__all__ = ["QueryEngine", "query_batch_compact", "validate_pairs", "validate_vertex"]
+__all__ = [
+    "BatchArrays",
+    "QueryEngine",
+    "pack_results",
+    "query_batch_arrays",
+    "query_batch_compact",
+    "spc_results",
+    "validate_pairs",
+    "validate_vertex",
+]
 
 
 def validate_vertex(v: int, n: int) -> int:
@@ -56,22 +72,9 @@ def validate_vertex(v: int, n: int) -> int:
     return v
 
 _INT64_MAX = np.iinfo(np.int64).max
-#: Products/sums in the vectorized kernel must stay below this bound.
+#: A pair whose float64 twin sum of ``|products|`` reaches this bound may
+#: leave int64 and is recomputed on the exact Python-int path.
 _SAFE_LIMIT = 2**62
-
-
-def _batch_is_safe(store: CompactLabelIndex, n_pairs: int) -> bool:
-    """Whether int64 arithmetic cannot overflow for this store and batch."""
-    if store.total_entries() == 0:
-        return n_pairs * max(store.n, 1) < _INT64_MAX
-    cmax = int(np.abs(store.counts).max())
-    wmax = int(store.weight_by_rank.max()) if len(store.weight_by_rank) else 1
-    lmax = int(np.diff(store.indptr).max())
-    if cmax * cmax * max(wmax, 1) * max(lmax, 1) >= _SAFE_LIMIT:
-        return False
-    # pair keys are pair_id * n + hub_rank and must fit int64 as well
-    return n_pairs * max(store.n, 1) < _INT64_MAX
-
 
 #: Pairs per vectorized chunk.  Keeping the key/probe temporaries inside
 #: the cache hierarchy beats one giant fan-out: 512 measured fastest
@@ -80,13 +83,16 @@ def _batch_is_safe(store: CompactLabelIndex, n_pairs: int) -> bool:
 _BATCH_CHUNK = 512
 
 
-def validate_pairs(pairs: Sequence[tuple[int, int]], n: int) -> np.ndarray:
+def validate_pairs(
+    pairs: "Sequence[tuple[int, int]] | np.ndarray", n: int
+) -> np.ndarray:
     """Canonicalise a query batch to an int64 ``(B, 2)`` array.
 
     The one shared validation for every batch entry point (the engine
-    kernel here, the worker pool's dispatch side): shape and vertex-range
-    violations raise :class:`~repro.errors.QueryError` with identical
-    messages everywhere, never a raw numpy error.
+    kernel here, the worker pool's dispatch side, the async bulk path):
+    shape and vertex-range violations raise
+    :class:`~repro.errors.QueryError` with identical messages everywhere,
+    never a raw numpy error.
     """
     try:
         pairs_arr = np.asarray(
@@ -108,33 +114,82 @@ def validate_pairs(pairs: Sequence[tuple[int, int]], n: int) -> np.ndarray:
     return pairs_arr
 
 
+#: ``(dist, count, exact)``: int64 arrays in batch order, plus the
+#: ``{position: count}`` map of the rare pairs whose count leaves int64
+#: (their ``count`` slot holds -1).
+BatchArrays = tuple[np.ndarray, np.ndarray, dict[int, int]]
+
+
+def query_batch_arrays(store: CompactLabelIndex, pairs_arr: np.ndarray) -> BatchArrays:
+    """The vectorized batch kernel over a compact store, array in, arrays out.
+
+    ``pairs_arr`` is a validated int64 ``(m, 2)`` array (see
+    :func:`validate_pairs`).  Answers are bit-identical to per-pair
+    :meth:`~repro.core.compact.CompactLabelIndex.query`: a pair whose
+    count may leave int64 is recomputed on that exact path, alone.
+    """
+    m = len(pairs_arr)
+    dist = np.empty(m, dtype=np.int64)
+    count = np.empty(m, dtype=np.int64)
+    exact: dict[int, int] = {}
+    # chunk keys are pair_id * n + hub_rank and must fit int64
+    step = max(1, min(_BATCH_CHUNK, _INT64_MAX // max(store.n, 1)))
+    for start in range(0, m, step):
+        chunk = pairs_arr[start : start + step]
+        stop = start + len(chunk)
+        beyond = _batch_chunk(store, chunk, dist[start:stop], count[start:stop])
+        for i in beyond.tolist():
+            value = store.query(int(chunk[i, 0]), int(chunk[i, 1])).count
+            if abs(value) > _INT64_MAX:
+                exact[start + i] = value
+                value = -1
+            count[start + i] = value
+    return dist, count, exact
+
+
+def spc_results(
+    pairs_arr: np.ndarray, dist: np.ndarray, count: np.ndarray, exact: dict[int, int]
+) -> list[SPCResult]:
+    """The :class:`SPCResult` view of a kernel's ``(dist, count, exact)``."""
+    counts = count.tolist()
+    for position, value in exact.items():
+        counts[position] = value
+    return [
+        SPCResult(s, t, d, c)
+        for (s, t), d, c in zip(pairs_arr.tolist(), dist.tolist(), counts)
+    ]
+
+
+def pack_results(results: Sequence[SPCResult]) -> BatchArrays:
+    """The inverse of :func:`spc_results`, for the per-pair kernels."""
+    counts = [r.count for r in results]
+    exact = {i: c for i, c in enumerate(counts) if abs(c) > _INT64_MAX}
+    for position in exact:
+        counts[position] = -1
+    dist = np.fromiter((r.dist for r in results), dtype=np.int64, count=len(results))
+    return dist, np.array(counts, dtype=np.int64), exact
+
+
 def query_batch_compact(
     store: CompactLabelIndex, pairs: Sequence[tuple[int, int]]
 ) -> list[SPCResult]:
-    """Vectorized batch evaluation over a compact store.
-
-    Falls back to the exact per-pair kernel when int64 overflow is
-    possible; answers are always identical to the tuple-merge path.
-    """
+    """Vectorized batch evaluation over a compact store, as result objects."""
     pairs_arr = validate_pairs(pairs, store.n)
-    if len(pairs_arr) == 0:
-        return []
-    if not _batch_is_safe(store, len(pairs_arr)):
-        return [store.query(int(a), int(b)) for a, b in pairs_arr]
-    # decide the weighted path once per batch, not per chunk (O(n) scan)
-    weighted = len(store.weight_by_rank) > 0 and int(store.weight_by_rank.max()) > 1
-    results: list[SPCResult] = []
-    for start in range(0, len(pairs_arr), _BATCH_CHUNK):
-        results.extend(
-            _batch_chunk(store, pairs_arr[start : start + _BATCH_CHUNK], weighted)
-        )
-    return results
+    return spc_results(pairs_arr, *query_batch_arrays(store, pairs_arr))
 
 
 def _batch_chunk(
-    store: CompactLabelIndex, pairs_arr: np.ndarray, weighted: bool
-) -> list[SPCResult]:
-    """One validated, overflow-safe chunk of the vectorized batch kernel."""
+    store: CompactLabelIndex,
+    pairs_arr: np.ndarray,
+    dist_out: np.ndarray,
+    count_out: np.ndarray,
+) -> np.ndarray:
+    """Answer one chunk into ``dist_out``/``count_out``.
+
+    Returns the chunk positions whose count may exceed int64: their
+    float64 twin sum reached :data:`_SAFE_LIMIT`, so ``count_out`` holds
+    a wrapped value there.
+    """
     n = store.n
     s = pairs_arr[:, 0]
     t = pairs_arr[:, 1]
@@ -159,8 +214,9 @@ def _batch_chunk(
     hit = np.zeros(len(keys_s), dtype=bool)
     hit[probe_ok] = keys_t[probe[probe_ok]] == keys_s[probe_ok]
 
-    dist_out = np.full(num, UNREACHABLE, dtype=np.int64)
-    count_out = np.zeros(num, dtype=np.int64)
+    dist_out.fill(UNREACHABLE)
+    count_out.fill(0)
+    beyond = np.empty(0, dtype=np.int64)
     match = np.flatnonzero(hit)
     if len(match):
         entry_s = pos_s[match]
@@ -169,33 +225,48 @@ def _batch_chunk(
         dsum = store.dists[entry_s].astype(np.int32) + store.dists[entry_t]
 
         # per-pair matches are contiguous segments; reduce with reduceat
-        seg_mask = np.empty(len(pid), dtype=bool)
-        seg_mask[0] = True
-        np.not_equal(pid[1:], pid[:-1], out=seg_mask[1:])
-        seg_start = np.flatnonzero(seg_mask)
+        seg_start = _segment_starts(pid)
         seg_pid = pid[seg_start]
         seg_best = np.minimum.reduceat(dsum, seg_start)
         best = np.empty(num, dtype=np.int32)
         best[seg_pid] = seg_best
-        at_best = dsum == best[pid]
-
-        contrib = store.counts[entry_s] * store.counts[entry_t]
-        if weighted:  # only equivalence-reduced graphs carry multiplicities
-            hub = store.hubs[entry_s].astype(np.int64)
-            rank = store.order.rank
-            internal = (hub != rank[s[pid]]) & (hub != rank[t[pid]])
-            contrib = np.where(internal, contrib * store.weight_by_rank[hub], contrib)
-        contrib *= at_best
         dist_out[seg_pid] = seg_best
+
+        # products only on the at-best entries; every matched pair keeps
+        # at least one, so the at-best segments line up with ``seg_pid``
+        at_best = np.flatnonzero(dsum == best[pid])
+        entry_s = entry_s[at_best]
+        pid = pid[at_best]
+        count_s = store.counts[entry_s]
+        count_t = store.counts[entry_t[at_best]]
+        contrib = count_s * count_t
+        twin = count_s.astype(np.float64) * count_t
+        # equivalence-reduced graphs weight every internal hub
+        hub = store.hubs[entry_s].astype(np.int64)
+        rank = store.order.rank
+        internal = (hub != rank[s[pid]]) & (hub != rank[t[pid]])
+        weight = np.where(internal, store.weight_by_rank[hub], 1)
+        contrib *= weight
+        twin *= weight
+        # int64 products and sums wrap modulo 2**64, so the wrapped sum is
+        # exact whenever the true one fits; the twin of |products| bounds it
+        seg_start = _segment_starts(pid)
         count_out[seg_pid] = np.add.reduceat(contrib, seg_start)
+        twin_sum = np.add.reduceat(np.abs(twin), seg_start)
+        beyond = seg_pid[twin_sum >= _SAFE_LIMIT]
 
     same = s == t
     dist_out[same] = 0
     count_out[same] = 1
-    return [
-        SPCResult(int(a), int(b), int(d), int(c))
-        for a, b, d, c in zip(s, t, dist_out, count_out)
-    ]
+    return beyond
+
+
+def _segment_starts(pid: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal values in nondecreasing ``pid``."""
+    seg_mask = np.empty(len(pid), dtype=bool)
+    seg_mask[0] = True
+    np.not_equal(pid[1:], pid[:-1], out=seg_mask[1:])
+    return np.flatnonzero(seg_mask)
 
 
 def _merge_steps(hubs_s: Sequence[int], hubs_t: Sequence[int]) -> int:

@@ -38,7 +38,9 @@ import asyncio
 import time
 from typing import Sequence
 
-from repro.core.engine import validate_vertex
+import numpy as np
+
+from repro.core.engine import validate_pairs
 from repro.core.queries import SPCResult
 from repro.errors import DeadlineError, QueryError, ServeError
 from repro.obs.trace import TraceContext, Tracer
@@ -288,7 +290,7 @@ class AsyncQueryService:
         admission.resolve(live, answers, start, representative)
 
     def _pool_dispatch(
-        self, pairs: list[tuple[int, int]], trace: "TraceContext"
+        self, pairs: "Sequence[tuple[int, int]] | np.ndarray", trace: "TraceContext"
     ) -> list[SPCResult]:
         """Synchronous traced pool dispatch (runs on an executor thread)."""
         assert self.pool is not None
@@ -296,7 +298,7 @@ class AsyncQueryService:
 
     async def _run_kernel(
         self,
-        pairs: list[tuple[int, int]],
+        pairs: "Sequence[tuple[int, int]] | np.ndarray",
         reason: str,
         trace: "TraceContext | None" = None,
     ) -> list[SPCResult]:
@@ -341,11 +343,8 @@ class AsyncQueryService:
         """
         if self._closed:
             raise QueryError("AsyncQueryService is closed")
-        workload = [
-            (validate_vertex(s, self._n), validate_vertex(t, self._n))
-            for s, t in pairs
-        ]
-        if not workload:
+        workload = validate_pairs(pairs, self._n)
+        if not len(workload):
             return []
         deadline = self._admission.absolute_deadline(deadline_ms)
         await self.flush()

@@ -50,6 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.engine import BatchArrays, spc_results, validate_pairs
 from repro.core.queries import SPCResult
 from repro.errors import ServeError
 from repro.serve.faults import FaultInjected, FaultPlan
@@ -98,8 +99,10 @@ def _worker_main(
     the parent sends ``(pairs, trace_id)`` (an ``(s, t)`` int64 array and
     the batch's trace id or ``None``) or ``None`` (shutdown); the worker
     answers ``("ok", payload, kernel_seconds, trace_id)`` where
-    ``payload`` holds one ``(dist, count)`` row per pair, or
-    ``("err", message)`` when the kernel raised.
+    ``payload`` is the kernel's ``(dist, count, exact)`` as it came out of
+    :meth:`~repro.serve.router.GatherEvaluator.query_batch_arrays` — two
+    int64 arrays plus the small ``{position: count}`` map of counts beyond
+    int64 — or ``("err", message)`` when the kernel raised.
 
     ``plan`` is the parent's resolved :class:`FaultPlan`; ``batch_number``
     counts this process's life only (a respawn starts over at 1), so a
@@ -138,19 +141,8 @@ def _worker_main(
                         f"poisoned shard (worker {worker_index}, batch {batch_number})"
                     )
                 start = time.perf_counter()
-                results = evaluator.query_batch(pairs)
+                payload = evaluator.query_batch_arrays(pairs)
                 elapsed = time.perf_counter() - start
-                try:
-                    payload: object = np.fromiter(
-                        (x for r in results for x in (r.dist, r.count)),
-                        dtype=np.int64,
-                        count=2 * len(results),
-                    ).reshape(-1, 2)
-                except OverflowError:
-                    # a count product beyond int64 (the kernels accumulate
-                    # in Python ints): ship plain tuples instead — slower,
-                    # but answers stay identical to the single-process path
-                    payload = [(r.dist, r.count) for r in results]
             except Exception as exc:  # noqa: BLE001 - forwarded to the parent
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
             else:
@@ -440,7 +432,7 @@ class WorkerPool:
 
     def _recv_shard(
         self, slot: _WorkerSlot, shard: np.ndarray, trace_id: "str | None" = None
-    ) -> "tuple[object, float]":
+    ) -> "tuple[BatchArrays, float]":
         """Collect one shard's ``(payload, kernel_seconds)``, resubmitting
         through a crash."""
         while True:
@@ -507,20 +499,19 @@ class WorkerPool:
 
     def _local_payload(
         self, shard: np.ndarray, rows: "list[dict] | None", shard_index: int
-    ) -> list[tuple[int, int]]:
+    ) -> BatchArrays:
         """Answer a sub-batch in-process on the parent's gather evaluator.
 
         The degradation endpoint: bit-identical to a worker's kernel (a
         parent-side :class:`~repro.serve.router.GatherEvaluator` over the
-        same fleet), just on the dispatching thread.  Returns the
-        plain-tuple payload form so reassembly treats it exactly like a
-        worker's overflow reply.
+        same fleet), just on the dispatching thread, with the same
+        ``(dist, count, exact)`` payload a worker ships.
         """
         self._fallback_queries += len(shard)
         self._shard_fallback[shard_index] += len(shard)
         self._note("fallback_shard", pairs=len(shard), shard=shard_index)
         start = time.perf_counter()
-        payload = [(r.dist, r.count) for r in self._local_eval.query_batch(shard)]
+        payload = self._local_eval.query_batch_arrays(shard)
         if rows is not None:
             rows.append(
                 {
@@ -535,7 +526,7 @@ class WorkerPool:
         return payload
 
     def query_batch(
-        self, pairs: Sequence[tuple[int, int]], trace: object = None
+        self, pairs: "Sequence[tuple[int, int]] | np.ndarray", trace: object = None
     ) -> list[SPCResult]:
         """Evaluate a workload sharded across the live workers, in input order.
 
@@ -557,8 +548,6 @@ class WorkerPool:
         critical-path worker kernel time and the residual round-trip
         overhead.
         """
-        from repro.core.engine import validate_pairs
-
         pairs_arr = validate_pairs(pairs, self.n)
         if len(pairs_arr) == 0:
             return []
@@ -581,20 +570,15 @@ class WorkerPool:
             trace.span("kernel", kernel)
             trace.span("pipe", max(total - kernel, 0.0))
             trace.annotate(shards=rows)
-        answers: "list[tuple[int, int] | None]" = [None] * len(pairs_arr)
-        for positions, payload in payloads:
-            if isinstance(payload, np.ndarray):
-                entries: Iterable[tuple[int, int]] = zip(
-                    payload[:, 0].tolist(), payload[:, 1].tolist()
-                )
-            else:  # overflow or in-process fallback: plain (dist, count) tuples
-                entries = payload  # type: ignore[assignment]
-            for position, entry in zip(positions.tolist(), entries):
-                answers[position] = entry
-        return [
-            SPCResult(int(s), int(t), d, c)
-            for (s, t), (d, c) in zip(pairs_arr, answers)  # type: ignore[misc]
-        ]
+        dist = np.empty(len(pairs_arr), dtype=np.int64)
+        count = np.empty(len(pairs_arr), dtype=np.int64)
+        exact: dict[int, int] = {}
+        for positions, (sub_dist, sub_count, sub_exact) in payloads:
+            dist[positions] = sub_dist
+            count[positions] = sub_count
+            for k, value in sub_exact.items():
+                exact[int(positions[k])] = value
+        return spc_results(pairs_arr, dist, count, exact)
 
     def _plan(
         self, pairs_arr: np.ndarray, live: list[_WorkerSlot]
@@ -628,7 +612,7 @@ class WorkerPool:
         live: list[_WorkerSlot],
         rows: "list[dict] | None",
         trace_id: "str | None",
-    ) -> "list[tuple[np.ndarray, object]]":
+    ) -> "list[tuple[np.ndarray, BatchArrays]]":
         """Run the dispatch plan over ``live`` slots; returns
         ``(positions, payload)`` per task.
 
@@ -664,7 +648,7 @@ class WorkerPool:
             except BaseException as exc:  # noqa: BLE001
                 failure = exc
                 break
-        payload_at: dict[int, object] = {}
+        payload_at: dict[int, BatchArrays] = {}
         for task_id, slot, sub_pairs, sent_at in sent:
             shard_index = assignments[task_id][3]
             if failure is None:

@@ -7,7 +7,7 @@ far endpoint's slice from the foreign shard.
 
 Two observations make the gather exact and cheap:
 
-* the query kernel (:func:`repro.core.engine.query_batch_compact`) reads
+* the query kernel (:func:`repro.core.engine.query_batch_arrays`) reads
   nothing but per-vertex label slices, the vertex order, and the per-rank
   hub weights — so evaluating a batch against a temporary store holding
   only the referenced vertices' slices is **bit-identical** to evaluating
@@ -33,7 +33,13 @@ import numpy as np
 
 from repro.core import store as store_module
 from repro.core.compact import CompactLabelIndex
-from repro.core.engine import validate_pairs
+from repro.core.engine import (
+    BatchArrays,
+    pack_results,
+    query_batch_arrays,
+    spc_results,
+    validate_pairs,
+)
 from repro.digraph.labels import CompactDirectedLabelIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,11 +83,13 @@ class GatherEvaluator:
     """Answer arbitrary batches against a shard fleet, bit-identically.
 
     Wraps a :class:`~repro.serve.shm.ShmSegmentFleet` and exposes the
-    ``n`` / ``directed`` / ``query_batch`` surface of a whole-index store.
-    Batches whose referenced vertices all live on one shard run straight
-    on that shard's store (the hot common case after home-shard routing);
-    straddling batches gather the referenced label slices into a
-    temporary store and run the stock kernel on it.
+    ``n`` / ``directed`` / ``query_batch`` surface of a whole-index store,
+    plus ``query_batch_arrays``, the kernel's array contract that pool
+    workers ship over their pipes.  Batches whose referenced vertices all
+    live on one shard run straight on that shard's store (the hot common
+    case after home-shard routing); straddling batches gather the
+    referenced label slices into a temporary store and run the stock
+    kernel on it.
     """
 
     def __init__(self, fleet: "ShmSegmentFleet") -> None:
@@ -104,30 +112,31 @@ class GatherEvaluator:
     # ------------------------------------------------------------------
     def query_batch(self, pairs: Sequence[tuple[int, int]]) -> "list[SPCResult]":
         """Evaluate a batch; answers match the whole-index store bit-for-bit."""
-        if len(self._bounds) == 2:
-            # a 1-shard fleet: the shard store is the whole index
-            return self._fleet.store_for(0).query_batch(pairs)
         pairs_arr = validate_pairs(pairs, self.n)
-        if len(pairs_arr) == 0:
-            return []
+        return spc_results(pairs_arr, *self.query_batch_arrays(pairs_arr))
+
+    def query_batch_arrays(self, pairs_arr: np.ndarray) -> BatchArrays:
+        """The kernel's ``(dist, count, exact)`` for a validated int64 batch."""
+        if len(self._bounds) == 2 or len(pairs_arr) == 0:
+            # a 1-shard fleet: the shard store is the whole index
+            return _store_arrays(self._fleet.store_for(0), pairs_arr)
         owners = store_module.shard_of(self._bounds, np.unique(pairs_arr))
         if owners[0] == owners[-1]:
             # every referenced vertex on one shard: run its store directly
-            return self._fleet.store_for(int(owners[0])).query_batch(pairs_arr)
+            return _store_arrays(self._fleet.store_for(int(owners[0])), pairs_arr)
         if self.directed:
-            return self._directed_gather(pairs_arr)
-        return self._undirected_gather(pairs_arr)
+            return _store_arrays(self._directed_gather(pairs_arr), pairs_arr)
+        return _store_arrays(self._undirected_gather(pairs_arr), pairs_arr)
 
     # ------------------------------------------------------------------
-    def _undirected_gather(self, pairs_arr: np.ndarray) -> "list[SPCResult]":
+    def _undirected_gather(self, pairs_arr: np.ndarray) -> CompactLabelIndex:
         verts = np.unique(pairs_arr)
         indptr, hubs, dists, counts, ref = self._gather_side(verts, side=None)
-        temp = CompactLabelIndex(
+        return CompactLabelIndex(
             ref.order, indptr, hubs, dists, counts, ref.weight_by_rank
         )
-        return temp.query_batch(pairs_arr)
 
-    def _directed_gather(self, pairs_arr: np.ndarray) -> "list[SPCResult]":
+    def _directed_gather(self, pairs_arr: np.ndarray) -> CompactDirectedLabelIndex:
         # a directed pair reads Lout(s) and Lin(t): gather each side for
         # exactly the vertices that use it
         sources = np.unique(pairs_arr[:, 0])
@@ -138,12 +147,11 @@ class GatherEvaluator:
         indptr_in, hubs_in, dists_in, counts_in, _ = self._gather_side(
             targets, side="in"
         )
-        temp = CompactDirectedLabelIndex(
+        return CompactDirectedLabelIndex(
             ref.order,
             indptr_in, hubs_in, dists_in, counts_in,
             indptr_out, hubs_out, dists_out, counts_out,
         )
-        return temp.query_batch(pairs_arr)
 
     def _gather_side(
         self, verts: np.ndarray, side: str | None
@@ -197,3 +205,11 @@ class GatherEvaluator:
             counts = np.empty(0, dtype=np.int64)
         assert ref is not None  # verts is non-empty by construction
         return indptr, hubs, dists, counts, ref
+
+
+def _store_arrays(store: object, pairs_arr: np.ndarray) -> BatchArrays:
+    """Run the array kernel matching one (shard or gathered) store."""
+    if isinstance(store, CompactLabelIndex):
+        return query_batch_arrays(store, pairs_arr)
+    # the directed store merges per pair, in Python ints
+    return pack_results(store.query_batch(pairs_arr))  # type: ignore[attr-defined]

@@ -1,18 +1,33 @@
-"""Tests for the QueryEngine dispatch layer and the vectorized batch kernel."""
+"""Tests for the QueryEngine dispatch layer and the vectorized batch kernel,
+including a differential test of the array kernel on every serving path."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 import repro.core.engine as engine_module
+from repro import build_index
 from repro.core.compact import CompactLabelIndex
-from repro.core.engine import QueryEngine, query_batch_compact
+from repro.core.engine import (
+    QueryEngine,
+    query_batch_arrays,
+    query_batch_compact,
+    spc_results,
+)
 from repro.core.index import PSPCIndex
+from repro.core.labels import LabelIndex
 from repro.core.queries import spc_query, spc_query_with_cost
 from repro.errors import QueryError
-from repro.graph.generators import barabasi_albert
+from repro.graph.generators import barabasi_albert, grid_road_network
 from repro.graph.graph import Graph
+from repro.ordering.base import VertexOrder
+from repro.reduction.equivalence import EquivalenceReduction
+from repro.serve.pool import WorkerPool
+from repro.serve.router import GatherEvaluator
+from repro.serve.shm import ShmSegmentFleet
 
 
 @pytest.fixture
@@ -97,21 +112,154 @@ class TestVectorizedBatch:
         results = index.query_batch([(0, 2), (0, 1), (2, 2)])
         assert [r.count for r in results] == [5, 1, 1]
 
-    def test_overflow_guard_falls_back(self, built, monkeypatch):
-        _, labels, compact = built
-        calls = {"per_pair": 0}
+    def test_overflow_guard_falls_back(self, monkeypatch):
+        """Exactly the pairs whose count reaches 2**62 take the per-pair path."""
+        # tree-decomposition ordering builds the grid in well under a second
+        # (the answers do not depend on the order)
+        index = build_index(grid_road_network(34, 34), ordering="tree-decomposition")
+        compact = index.store
+        n = compact.n
+        rng = np.random.default_rng(0)
+        pairs = [(int(a), int(b)) for a, b in rng.integers(n, size=(500, 2))]
+        pairs += [(0, n - 1), (33, n - 34)]  # opposite corners: C(66, 33) paths
+        expected = [spc_query(compact.to_label_index(), s, t) for s, t in pairs]
+        big = [(r.s, r.t) for r in expected if r.count >= 2**62]
+        assert {(0, n - 1), (33, n - 34)} <= set(big)
+        assert len(big) < len(pairs) // 100
+        calls = []
         original = CompactLabelIndex.query
 
         def counting_query(self, s, t):
-            calls["per_pair"] += 1
+            calls.append((s, t))
             return original(self, s, t)
 
         monkeypatch.setattr(CompactLabelIndex, "query", counting_query)
-        monkeypatch.setattr(engine_module, "_SAFE_LIMIT", 1)  # everything "unsafe"
-        pairs = [(0, 5), (3, 9)]
-        expected = [spc_query(labels, s, t) for s, t in pairs]
         assert query_batch_compact(compact, pairs) == expected
-        assert calls["per_pair"] == len(pairs)
+        assert sorted(calls) == sorted(big)
+
+    def test_counts_beyond_int64_ride_the_exact_map(self):
+        index = build_index(grid_road_network(35, 35), ordering="tree-decomposition")
+        compact = index.store
+        n = compact.n
+        pairs = np.array([[0, n - 1], [5, 7], [34, n - 35], [3, 3]], dtype=np.int64)
+        dist, count, exact = query_batch_arrays(compact, pairs)
+        corner = math.comb(68, 34)  # > 2**63: no int64 slot can hold it
+        assert exact == {0: corner, 2: corner}
+        assert dist.dtype == count.dtype == np.int64
+        assert dist.tolist() == [68, 2, 68, 0]
+        assert count.tolist() == [-1, 1, -1, 1]
+        assert spc_results(pairs, dist, count, exact) == [
+            compact.query(int(s), int(t)) for s, t in pairs
+        ]
+
+
+def _twin_grid(side: int) -> tuple[Graph, list[list[int]]]:
+    """A grid whose every cell is a class of ``3..9`` non-adjacent twins,
+    neighbouring cells fully joined: equivalence reduction collapses each
+    cell into one grid vertex weighted by the class size.  Returns the
+    graph and the member ids per cell (row-major)."""
+    cells, n = [], 0
+    for r in range(side):
+        for c in range(side):
+            size = 3 + (5 * r + 3 * c) % 7
+            cells.append(list(range(n, n + size)))
+            n += size
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            here = cells[r * side + c]
+            for there in (
+                cells[r * side + c + 1] if c + 1 < side else [],
+                cells[(r + 1) * side + c] if r + 1 < side else [],
+            ):
+                edges += [(a, b) for a in here for b in there]
+    return Graph(n, edges), cells
+
+
+def _non_best_wrap_store() -> CompactLabelIndex:
+    """Hand-made labels where hub 0 sits at a non-best distance with a
+    count product beyond int64 (``(2**40 + 1)**2``) for pairs (2, 3) and
+    (3, 2), whose best sum is tiny."""
+    big = 2**40 + 1
+    labels = [
+        [(0, 0, 1)],
+        [(0, 1, 1), (1, 0, 1)],
+        [(0, 9, big), (1, 1, 1), (2, 0, 1)],
+        [(0, 9, big), (1, 1, 3), (3, 0, 1)],
+    ]
+    order = VertexOrder.from_order(np.arange(4), 4)
+    return CompactLabelIndex.from_index(LabelIndex(order, labels))
+
+
+@pytest.fixture(scope="module")
+def differential_cases() -> dict:
+    """``name -> (store, pairs)`` for the array-kernel differential test."""
+    rng = np.random.default_rng(17)
+    road = build_index(grid_road_network(32, 32, extra_edges=80, seed=1)).store
+    # store counts overflow any store-wide product bound, answers fit int64
+    assert int(road.counts.max()) ** 2 >= 2**62
+    graph, cells = _twin_grid(12)
+    reduction = EquivalenceReduction(graph)
+    weighted = build_index(reduction.reduced_graph, ordering="tree-decomposition").store
+    assert weighted.kind == "compact" and int(weighted.weight_by_rank.max()) > 1
+    # opposite corner blocks: the counts that leave int64
+    corner = [
+        [reduction.reduced_id(cells[r * 12 + c][0]) for r in rows for c in rows]
+        for rows in ((0, 1), (10, 11))
+    ]
+    wrap = _non_best_wrap_store()
+    cases = {}
+    for name, store in (("road", road), ("weighted", weighted), ("wrap", wrap)):
+        pairs = rng.integers(store.n, size=(300, 2))
+        cases[name] = (store, [(int(a), int(b)) for a, b in pairs])
+    cases["weighted"][1].extend((a, b) for a in corner[0] for b in corner[1])
+    cases["wrap"][1].extend([(2, 3), (3, 2)])
+    return cases
+
+
+class TestArrayKernelDifferential:
+    """``query_batch_arrays`` against per-pair ``query`` on every path."""
+
+    @pytest.mark.parametrize("case", ["road", "weighted", "wrap"])
+    def test_engine(self, differential_cases, case, monkeypatch):
+        store, pairs = differential_cases[case]
+        expected = [store.query(s, t) for s, t in pairs]
+        beyond = {
+            i: r.count for i, r in enumerate(expected) if r.count > 2**63 - 1
+        }
+        calls = []
+        original = CompactLabelIndex.query
+
+        def counting_query(self, s, t):
+            calls.append((s, t))
+            return original(self, s, t)
+
+        monkeypatch.setattr(CompactLabelIndex, "query", counting_query)
+        pairs_arr = np.asarray(pairs, dtype=np.int64)
+        dist, count, exact = query_batch_arrays(store, pairs_arr)
+        assert exact == beyond
+        assert spc_results(pairs_arr, dist, count, exact) == expected
+        if case == "weighted":
+            assert beyond  # the weighted twin flags real overflow
+        else:
+            assert not calls  # nothing leaves the vectorized path
+        assert len(calls) == len([r for r in expected if r.count >= 2**62])
+
+    @pytest.mark.parametrize("case", ["road", "weighted", "wrap"])
+    def test_gather_evaluator_three_shards(
+        self, differential_cases, case, assert_no_shm_leak
+    ):
+        store, pairs = differential_cases[case]
+        expected = [store.query(s, t) for s, t in pairs]
+        with ShmSegmentFleet.publish(store, shards=3) as fleet:
+            assert GatherEvaluator(fleet).query_batch(pairs) == expected
+
+    @pytest.mark.parametrize("case", ["road", "weighted", "wrap"])
+    def test_worker_pool(self, differential_cases, case, assert_no_shm_leak):
+        store, pairs = differential_cases[case]
+        expected = [store.query(s, t) for s, t in pairs]
+        with WorkerPool(store, workers=2) as pool:
+            assert pool.query_batch(pairs) == expected
 
 
 class TestCosts:

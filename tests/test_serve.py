@@ -267,15 +267,33 @@ class TestWorkerPool:
         pool.close()  # idempotent
         assert _segment_files() == before
 
-    def test_default_pool_is_one_shard_and_exact_on_overflow_grid(self):
+    def test_default_pool_is_one_shard_and_exact_on_overflow_grid(self, monkeypatch):
         """An unsharded pool is a 1-shard fleet, bit-identical even where
-        the kernel leaves int64 for its exact per-pair fallback."""
-        from repro.core.engine import _batch_is_safe
+        counts reach 2**62 or leave int64 (the exact map rides the pipe)."""
+        from repro.core.compact import CompactLabelIndex
+        from repro.core.queries import spc_query
 
-        graph = grid_road_network(20, 20)
-        index = PSPCIndex.build(graph)
-        assert not _batch_is_safe(index.store, 1)  # the per-pair regime
-        pairs = _random_pairs(graph.n, 300) + [(0, graph.n - 1)]
+        side = 35
+        graph = grid_road_network(side, side)
+        # tree-decomposition ordering builds the grid in well under a second
+        index = PSPCIndex.build(graph, ordering="tree-decomposition")
+        n = graph.n
+        corners = [(0, n - 1), (side - 1, n - side), (0, (side - 2) * (side + 1))]
+        pairs = _random_pairs(n, 300) + corners
+        expected = [spc_query(index.store.to_label_index(), s, t) for s, t in pairs]
+        big = [(r.s, r.t) for r in expected if r.count >= 2**62]
+        assert set(corners) <= set(big)  # C(68, 34) twice, C(66, 33) once
+        assert sum(r.count > 2**63 - 1 for r in expected) == 2
+        calls = []
+        original = CompactLabelIndex.query
+
+        def counting_query(self, s, t):
+            calls.append((s, t))
+            return original(self, s, t)
+
+        monkeypatch.setattr(CompactLabelIndex, "query", counting_query)
+        assert index.query_batch(pairs) == expected
+        assert sorted(calls) == sorted(big)
         with WorkerPool(index, workers=2) as pool:
             assert pool.shard_count == 1
             assert pool.stats()["fleet"]["shards"] == 1
@@ -859,6 +877,24 @@ def test_async_bad_submit_does_not_poison_cobatched_queries(served_index):
 
     results = asyncio.run(main())
     assert results == [served_index.query(r.s, r.t) for r in results]
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_async_bulk_validation_message_is_pinned(served_index, workers):
+    """The bulk path validates once, with the shared batch messages."""
+    n = served_index.n
+
+    async def main():
+        async with AsyncQueryService(served_index, workers=workers) as svc:
+            with pytest.raises(QueryError) as out_of_range:
+                await svc.query_batch([(0, 1), (2, n + 4), (-3, 2)])
+            with pytest.raises(QueryError, match="sequence of \\(s, t\\) pairs"):
+                await svc.query_batch([(0, 1), (3,)])
+            assert await svc.query_batch([]) == []
+            return str(out_of_range.value)
+
+    message = asyncio.run(main())
+    assert message == f"vertex {n + 4} out of range for index over {n} vertices"
 
 
 def test_pool_bulk_chunks_scale_with_workers(served_index):
