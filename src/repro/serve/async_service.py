@@ -50,6 +50,12 @@ from repro.serve.pool import WorkerPool
 
 __all__ = ["AsyncQueryService"]
 
+#: Fewest pairs each worker receives per bulk pool call (the kernel's own
+#: chunk).  Every pool call is a cross-process round trip whose cost swings
+#: with host scheduling; admission-sized calls made a bulk sweep mostly
+#: round trips, so its throughput varied from run to run.
+_POOL_BULK_PAIRS = 512
+
 
 class _Waiter(Ticket):
     """A ticket whose caller awaits an asyncio future on the running loop."""
@@ -332,9 +338,10 @@ class AsyncQueryService:
         Point-path stragglers are flushed first so batches stay aligned;
         the bulk chunks bypass the LRU cache (it exists for hot repeated
         point pairs, not for sweeps).  Chunks are ``batch_size`` pairs when
-        dispatching onto a counter directly and ``batch_size * workers``
-        over a pool — each pool dispatch shards across all workers, so
-        admission-sized chunks would leave N-1 workers idle per call.
+        dispatching onto a counter directly and ``max(batch_size, 512) *
+        workers`` over a pool — each pool dispatch shards across all
+        workers, and each is a round trip through every worker's pipe, so
+        every worker gets at least one kernel chunk of pairs per call.
 
         ``deadline_ms`` (default: the service budget) bounds the whole
         workload: the check runs between chunks, so an expired deadline
@@ -348,7 +355,10 @@ class AsyncQueryService:
             return []
         deadline = self._admission.absolute_deadline(deadline_ms)
         await self.flush()
-        chunk_size = self.batch_size * (self.pool.workers if self.pool else 1)
+        if self.pool is None:
+            chunk_size = self.batch_size
+        else:
+            chunk_size = max(self.batch_size, _POOL_BULK_PAIRS) * self.pool.workers
         results: list[SPCResult] = []
         for start in range(0, len(workload), chunk_size):
             if deadline is not None and time.perf_counter() >= deadline:

@@ -898,19 +898,23 @@ def test_async_bulk_validation_message_is_pinned(served_index, workers):
 
 
 def test_pool_bulk_chunks_scale_with_workers(served_index):
-    """A pool-backed bulk sweep uses batch_size * workers per kernel call."""
-    pairs = _random_pairs(served_index.n, 300)
+    """A pool-backed bulk sweep uses max(batch_size, 512) * workers per
+    kernel call: admission-sized calls would make it mostly pipe round
+    trips."""
+    pairs = _random_pairs(served_index.n, 2100)
 
-    async def main():
+    async def main(batch_size):
         async with AsyncQueryService(
-            served_index, workers=2, batch_size=64
+            served_index, workers=2, batch_size=batch_size
         ) as service:
             results = await service.query_batch(pairs)
             return results, service.stats()
 
-    results, stats = asyncio.run(main())
-    assert results == served_index.query_batch(pairs)
-    assert stats["bulk_flushes"] == 3  # ceil(300 / (64 * 2))
+    # ceil(2100 / (512 * 2)) and ceil(2100 / (1024 * 2))
+    for batch_size, flushes in [(64, 3), (1024, 2)]:
+        results, stats = asyncio.run(main(batch_size))
+        assert results == served_index.query_batch(pairs)
+        assert stats["bulk_flushes"] == flushes
 
 
 def test_pool_ragged_batch_raises_query_error(served_index):
