@@ -12,7 +12,10 @@ it with the given worker and shard layout, and checks over loopback:
   larger than any one shard's hot bytes (the index exceeds what a worker
   maps);
 * ``/metrics`` carries the per-shard series for every shard;
-* SIGTERM exits 0 and leaves no ``repro-seg-*`` block in ``/dev/shm``.
+* 50 point queries over one ``http.client`` connection open exactly one
+  TCP connection (HTTP/1.1 keep-alive);
+* SIGTERM, with an idle kept-alive client still connected, exits 0 and
+  leaves no ``repro-seg-*`` block in ``/dev/shm``.
 
 Run from the root of a checkout::
 
@@ -23,6 +26,7 @@ Run from the root of a checkout::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import signal
@@ -50,6 +54,27 @@ def expected_owners(workers: int, shards: int, shard: int) -> int:
     if workers < shards:
         return 1
     return sum(1 for w in range(workers) if w % shards == shard)
+
+
+class CountingConnection(http.client.HTTPConnection):
+    """An ``HTTPConnection`` that counts its TCP connects."""
+
+    connects = 0
+
+    def connect(self) -> None:
+        self.connects += 1
+        super().connect()
+
+
+def keep_alive_client(port: int, pairs: "list[tuple[int, int]]") -> CountingConnection:
+    """Answer ``pairs`` over one connection; return it, still open."""
+    conn = CountingConnection("127.0.0.1", port, timeout=30)
+    for s, t in pairs:
+        conn.request("GET", f"/query?s={s}&t={t}")
+        response = conn.getresponse()
+        answer = json.loads(response.read())
+        assert response.status == 200 and (answer["s"], answer["t"]) == (s, t), answer
+    return conn
 
 
 def start_server(index: Path, args: argparse.Namespace) -> "tuple[subprocess.Popen, int]":
@@ -108,6 +133,10 @@ def check(port: int, args: argparse.Namespace, cold: "set[int]") -> None:
         expected = oracle.query(s, t)
         assert (row["dist"], row["count"]) == (expected.dist, expected.count), row
 
+    conn = keep_alive_client(port, pairs[:50])
+    conn.close()
+    assert conn.connects == 1, f"50 point queries opened {conn.connects} connections"
+
     stats = get("/stats")
     assert stats["pool"]["workers"] == args.workers, stats
     fleet = stats["pool"]["fleet"]
@@ -152,11 +181,18 @@ def main() -> None:
             check=True,
         )
         proc, port = start_server(index, args)
+        idle = None
         try:
             check(port, args, cold)
+            # a kept-alive client that stays connected must not hold up
+            # the shutdown (Server.wait_closed() waits for every open
+            # connection on Python >= 3.12)
+            idle = keep_alive_client(port, [(0, 1)])
         finally:
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=120)
+            if idle is not None:
+                idle.close()
         assert code == 0, f"server exited with {code}"
     leftovers = shm_segments() - before
     assert not leftovers, f"leaked shm segments: {leftovers}"

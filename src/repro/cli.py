@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="admission deadline for unfilled batches (milliseconds)",
+        help="longest a query waits behind an in-flight batch (milliseconds); "
+        "a query that finds the kernel idle flushes at once",
     )
     p_http.add_argument(
         "--cache-size",

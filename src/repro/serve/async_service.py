@@ -1,14 +1,19 @@
 """Asyncio admission-batched query service — the async twin of
 :class:`repro.api.QueryService`.
 
-``await submit(s, t)`` parks the caller on a future while queries
-accumulate; when ``batch_size`` are pending (or the oldest has waited
-``max_wait`` seconds) the whole batch flushes through **one** kernel call,
-dispatched off the event loop with ``loop.run_in_executor`` so thousands of
-concurrent awaiters cost one vectorized merge per batch and the loop never
-blocks.  The kernel target is either a counter's ``query_batch`` directly
-(``workers=0``) or a :class:`~repro.serve.pool.WorkerPool` sharding each
-batch across spawn-based processes attached to the shared-memory shards.
+``await submit(s, t)`` parks the caller on a future and flushes its query
+through **one** kernel call, dispatched off the event loop with
+``loop.run_in_executor`` so the loop never blocks.  A query that finds the
+kernel idle flushes at once (reason ``idle``; the queries submitted in the
+same loop turn ride along), so a lone point query costs one kernel call,
+not a batching timer.  Queries that arrive while a batch is in flight
+accumulate and flush together when that batch finishes, when
+``batch_size`` are pending, or when the oldest has waited ``max_wait``
+seconds behind the busy kernel, whichever comes first — thousands of
+concurrent awaiters cost one vectorized merge per batch.  The kernel
+target is either a counter's ``query_batch`` directly (``workers=0``) or a
+:class:`~repro.serve.pool.WorkerPool` sharding each batch across
+spawn-based processes attached to the shared-memory shards.
 
 Same invariant as the synchronous service: answers are identical to
 per-pair ``query`` calls in every regime — admission batching and process
@@ -80,10 +85,13 @@ class _Waiter(Ticket):
 
 
 class AsyncQueryService:
-    """Admission micro-batching over an event loop.
+    """Admission micro-batching over an event loop, flushing when idle.
 
     Parameters mirror :class:`repro.api.QueryService` (``batch_size``,
-    ``max_wait``, ``cache_size``) plus the dispatch target: ``workers=0``
+    ``max_wait``, ``cache_size``), but the flush policy differs: a query
+    that finds no batch in flight flushes at once, so ``max_wait`` only
+    bounds how long a query waits behind a busy kernel (the sync twin
+    always waits out its timer).  Then comes the dispatch target: ``workers=0``
     (default) flushes straight onto ``counter.query_batch`` in an executor
     thread; ``workers=N`` publishes the counter to shared memory and
     shards every flush across a spawned :class:`WorkerPool` (owned by the
@@ -177,7 +185,10 @@ class AsyncQueryService:
         self._dispatch = target.query_batch
         self._n = int(getattr(target, "n", 0))
         self._pending: list[_Waiter] = []
-        self._timer: asyncio.TimerHandle | None = None
+        #: the scheduled flush of the pending queries: an ``idle`` flush
+        #: on the next loop turn, or the ``max_wait`` timer behind a busy
+        #: kernel
+        self._timer: asyncio.Handle | None = None
         self._flush_tasks: set[asyncio.Task] = set()
         #: flush reason deferred by the in-flight gate; re-armed when a
         #: running batch completes (see :meth:`_flush_finished`)
@@ -237,15 +248,20 @@ class AsyncQueryService:
             if len(self._pending) >= self.batch_size:
                 self._start_flush("full")
             elif self._timer is None:
-                self._timer = asyncio.get_running_loop().call_later(
-                    self.max_wait, self._deadline_expired
-                )
+                loop = asyncio.get_running_loop()
+                if self._flush_tasks:
+                    self._timer = loop.call_later(
+                        self.max_wait, self._scheduled_flush, "timeout"
+                    )
+                else:
+                    # next loop turn, so submits made in this one share it
+                    self._timer = loop.call_soon(self._scheduled_flush, "idle")
         return await waiter.future
 
-    def _deadline_expired(self) -> None:
+    def _scheduled_flush(self, reason: str) -> None:
         self._timer = None
         if self._pending:
-            self._start_flush("timeout")
+            self._start_flush(reason)
 
     def _start_flush(self, reason: str) -> None:
         """Detach the pending batch and evaluate it in a background task.
@@ -271,12 +287,14 @@ class AsyncQueryService:
         task.add_done_callback(self._flush_finished)
 
     def _flush_finished(self, task: asyncio.Task) -> None:
-        """A kernel batch completed: re-arm any flush the gate deferred."""
+        """A kernel batch completed: flush what queued up behind it.
+
+        A flush the in-flight gate deferred keeps its reason; queries
+        that merely waited for the busy kernel flush as ``idle``.
+        """
         self._flush_tasks.discard(task)
-        if self._pending and (
-            self._stalled is not None or len(self._pending) >= self.batch_size
-        ):
-            self._start_flush(self._stalled or "full")
+        if self._pending:
+            self._start_flush(self._stalled or "idle")
 
     async def _flush(self, batch: list[_Waiter], reason: str) -> None:
         admission = self._admission

@@ -25,9 +25,15 @@ the pool's pipes into ``/debug/trace``.
 Failure mapping: admission rejections answer 429 (queue full) and 504
 (deadline missed), infrastructure faults 500/503 — a load balancer can act
 on status alone.  Exposed on the command line as ``python -m repro serve
-<index.npz> --workers N --port P`` (see :func:`run_server`); every
-connection is answered and closed (``Connection: close``), keeping the
-loop free of keep-alive bookkeeping.
+<index.npz> --workers N --port P`` (see :func:`run_server`).
+
+HTTP/1.1 connections stay open for the next request (pipelined requests
+are answered in order), so a client pays one TCP connect, not one per
+query.  The server closes a connection after the response when the client
+sends ``Connection: close``, speaks HTTP/1.0, or gets an error status
+(>= 400), and hangs up without a response on a connection idle for
+``_READ_TIMEOUT`` between requests.  Stopping the server closes idle
+connections and lets busy ones finish their request.
 """
 
 from __future__ import annotations
@@ -50,10 +56,31 @@ __all__ = ["HttpFrontend", "run_server"]
 #: Largest accepted request body (the batch endpoint), in bytes.
 _MAX_BODY = 32 * 1024 * 1024
 
-#: Seconds an open connection may take to deliver a complete request;
-#: idle and half-open sockets are dropped instead of pinning a task+fd
-#: on the long-running server.
+#: Seconds a connection may sit idle between requests, and seconds a
+#: started request may take to arrive in full (408 past that); idle and
+#: half-open sockets are dropped instead of pinning a task+fd on the
+#: long-running server.
 _READ_TIMEOUT = 30.0
+
+
+class _Resumed:
+    """A connection's reader with the first byte of the next request,
+    already taken off the stream by the connection loop, put back."""
+
+    __slots__ = ("_reader", "_head")
+
+    def __init__(self, reader: asyncio.StreamReader, head: bytes) -> None:
+        self._reader = reader
+        self._head = head
+
+    async def readline(self) -> bytes:
+        head, self._head = self._head, b""
+        if head.endswith(b"\n"):
+            return head
+        return head + await self._reader.readline()
+
+    async def readexactly(self, n: int) -> bytes:
+        return await self._reader.readexactly(n)
 
 
 class _HttpError(ServeError):
@@ -89,14 +116,73 @@ class HttpFrontend:
         self.latency = LatencyHistogram()
         #: responses by status code — feeds /metrics
         self.responses: dict[int, int] = {}
+        #: open connections (their loop tasks) and the writers of those
+        #: waiting for their next request — what :meth:`shutdown` closes
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     # ------------------------------------------------------------------
     # request plumbing
     # ------------------------------------------------------------------
-    async def handle_connection(
+    async def serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: parse, dispatch, answer, close.
+        """Serve requests on one connection until either side closes it.
+
+        Waits for the first byte of each request, then hands the request
+        to :meth:`handle_connection`.  A connection idle for
+        ``_READ_TIMEOUT`` (or open when :meth:`shutdown` runs) is closed
+        without a response.
+        """
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections.add(task)
+        loop = asyncio.get_running_loop()
+        try:
+            while not self._closing:
+                self._idle.add(writer)
+                # closing the transport wakes the read below with EOF
+                hang_up = loop.call_later(_READ_TIMEOUT, writer.close)
+                try:
+                    head = await reader.read(1)
+                except OSError:  # reset by the client
+                    break
+                finally:
+                    hang_up.cancel()
+                    self._idle.discard(writer)
+                if not head or not await self.handle_connection(
+                    _Resumed(reader, head), writer
+                ):
+                    break
+        finally:
+            self._connections.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:  # pragma: no cover - client gone
+                pass
+
+    async def shutdown(self) -> None:
+        """Close idle connections and wait for busy ones to answer.
+
+        A request in progress still gets its response (marked
+        ``Connection: close``); no connection waits for another request.
+        """
+        self._closing = True
+        for writer in tuple(self._idle):
+            writer.close()
+        await asyncio.gather(*tuple(self._connections), return_exceptions=True)
+
+    async def handle_connection(
+        self, reader: "asyncio.StreamReader | _Resumed", writer: asyncio.StreamWriter
+    ) -> bool:
+        """Serve one request: parse, dispatch, answer.
+
+        Returns whether the connection may carry another request: an
+        HTTP/1.1 request without ``Connection: close`` answered below 400
+        while the server is not shutting down.  Closing is the caller's
+        job (:meth:`serve_connection`).
 
         Every failure mode maps to a precise status: client mistakes are
         4xx (including 408 for a request that never finished arriving and
@@ -105,8 +191,9 @@ class HttpFrontend:
         """
         start = time.perf_counter()
         extra_headers: dict[str, str] = {}
+        keep_alive = False
         try:
-            status, body, extra_headers = await asyncio.wait_for(
+            status, body, extra_headers, keep_alive = await asyncio.wait_for(
                 self._handle(reader), timeout=_READ_TIMEOUT
             )
         except asyncio.TimeoutError:
@@ -138,6 +225,9 @@ class HttpFrontend:
             content_type = "application/json"
         self.latency.observe(time.perf_counter() - start)
         self.responses[status] = self.responses.get(status, 0) + 1
+        keep_alive = keep_alive and status < 400 and not self._closing
+        if not keep_alive:
+            extra_headers["Connection"] = "close"
         headers = "".join(
             f"{name}: {value}\r\n" for name, value in extra_headers.items()
         )
@@ -147,28 +237,29 @@ class HttpFrontend:
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(payload)}\r\n"
                 f"{headers}"
-                "Connection: close\r\n"
                 "\r\n"
             ).encode()
             + payload
         )
         try:
             await writer.drain()
-            writer.close()
-            await writer.wait_closed()
         except (ConnectionError, BrokenPipeError):  # pragma: no cover - client gone
-            pass
+            return False
+        return keep_alive
 
     async def _handle(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, object, dict]:
+        self, reader: "asyncio.StreamReader | _Resumed"
+    ) -> tuple[int, object, dict, bool]:
+        """Read one request and route it; the last field says whether the
+        client lets the connection stay open."""
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
             raise _HttpError(400, "empty request")
         parts = request_line.split()
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
-        method, target, _version = parts
+        method, target, version = parts
+        keep_alive = version == "HTTP/1.1"
         content_length = 0
         trace_header: str | None = None
         while True:
@@ -186,14 +277,22 @@ class HttpFrontend:
                     raise _HttpError(400, f"bad Content-Length {content_length}")
             elif lowered == "x-repro-trace-id":
                 trace_header = value.strip() or None
+            elif lowered == "connection":
+                if "close" in value.lower():
+                    keep_alive = False
+            elif lowered == "transfer-encoding":
+                # a body framed any other way than Content-Length would
+                # be read as the next request on a kept-alive connection
+                raise _HttpError(400, "Transfer-Encoding bodies are not supported")
         if content_length > _MAX_BODY:
             raise _HttpError(413, f"body of {content_length} bytes exceeds {_MAX_BODY}")
         body = await reader.readexactly(content_length) if content_length else b""
         self.requests += 1
         url = urlsplit(target)
-        return await self._route(
+        status, payload, headers = await self._route(
             method.upper(), url.path, parse_qs(url.query), body, trace_header
         )
+        return status, payload, headers, keep_alive
 
     # ------------------------------------------------------------------
     # routes
@@ -307,7 +406,7 @@ class HttpFrontend:
             deadline_ms = float(values[0])
         except ValueError:
             raise _HttpError(400, "parameter 'deadline_ms' must be a number") from None
-        if deadline_ms <= 0:
+        if not deadline_ms > 0:  # NaN too
             raise _HttpError(400, "parameter 'deadline_ms' must be positive")
         return deadline_ms
 
@@ -339,16 +438,20 @@ class HttpFrontend:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
         ):
             raise _HttpError(400, 'body must be {"pairs": [[s, t], ...]}')
-        try:
-            workload = [(int(s), int(t)) for s, t in pairs]
-        except (TypeError, ValueError):
-            raise _HttpError(400, "pair endpoints must be integers") from None
+        # JSON integers only: int() would truncate 0.9 to 0 and accept
+        # true and "0", answering a pair nobody asked for
+        if not all(type(s) is int and type(t) is int for s, t in pairs):
+            raise _HttpError(400, "pair endpoints must be JSON integers")
         deadline_ms = decoded.get("deadline_ms")
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            if (
+                isinstance(deadline_ms, bool)
+                or not isinstance(deadline_ms, (int, float))
+                or not deadline_ms > 0
+            ):
                 raise _HttpError(400, '"deadline_ms" must be a positive number')
             deadline_ms = float(deadline_ms)
-        results = await self.service.query_batch(workload, deadline_ms=deadline_ms)
+        results = await self.service.query_batch(pairs, deadline_ms=deadline_ms)
         return 200, {
             "results": [
                 {"s": r.s, "t": r.t, "dist": r.dist, "count": r.count} for r in results
@@ -374,7 +477,7 @@ async def serve(
     contract while the library itself stays silent (R008).
     """
     frontend = HttpFrontend(service)
-    server = await asyncio.start_server(frontend.handle_connection, host, port)
+    server = await asyncio.start_server(frontend.serve_connection, host, port)
     bound = server.sockets[0].getsockname()[:2]
     if ready is not None and not ready.done():
         ready.set_result(bound)
@@ -387,6 +490,9 @@ async def serve(
             await stop.wait()
     finally:
         server.close()
+        # close kept-alive connections explicitly: wait_closed() waits for
+        # every open connection on Python >= 3.12
+        await frontend.shutdown()
         await server.wait_closed()
         await service.aclose()
 

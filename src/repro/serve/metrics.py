@@ -142,7 +142,7 @@ class FlushStats:
     def __init__(self) -> None:
         self.queries = 0
         self.batches = 0
-        self.reasons = {"full": 0, "timeout": 0, "manual": 0, "bulk": 0}
+        self.reasons = {"idle": 0, "full": 0, "timeout": 0, "manual": 0, "bulk": 0}
         self.total_seconds = 0.0
         self.max_seconds = 0.0
         self.flushed_queries = 0
@@ -177,6 +177,7 @@ class FlushStats:
             "batches": batches,
             "pending": pending,
             "mean_batch_size": round(mean_batch, 2),
+            "idle_flushes": self.reasons.get("idle", 0),
             "full_flushes": self.reasons.get("full", 0),
             "timeout_flushes": self.reasons.get("timeout", 0),
             "manual_flushes": self.reasons.get("manual", 0),
@@ -249,7 +250,7 @@ def render_prometheus(
     _metric(
         lines, "repro_flushes_total", "counter", "Kernel flushes by trigger reason."
     )
-    for reason in ("full", "timeout", "manual", "bulk"):
+    for reason in ("idle", "full", "timeout", "manual", "bulk"):
         lines.append(
             f'repro_flushes_total{{reason="{reason}"}} '
             f"{stats.get(f'{reason}_flushes', 0)}"

@@ -1,8 +1,11 @@
 """Shared fixtures: canonical small graphs, the paper's running example,
-and the ``/dev/shm`` leak guard applied to every suite that spawns workers."""
+the ``/dev/shm`` leak guard applied to every suite that spawns workers,
+and a counter wrapper that holds one kernel batch in flight."""
 
 from __future__ import annotations
 
+import asyncio
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,50 @@ def assert_no_shm_leak():
     yield
     leaked = _shm_segments() - before
     assert not leaked, f"test leaked shm segments: {sorted(leaked)}"
+
+
+class GatedCounter:
+    """A counter whose first ``query_batch`` blocks until ``release`` is set.
+
+    The async service runs kernels on executor threads, so a test can hold
+    one batch in flight and see what queues up behind it.  ``calls``
+    counts kernel calls (shed queries never reach one).
+    """
+
+    def __init__(self, counter: object) -> None:
+        self.counter = counter
+        self.n = counter.n  # type: ignore[attr-defined]
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.calls = 0
+
+    def query_batch(self, pairs):
+        self.calls += 1
+        if self.calls == 1:
+            self.entered.set()
+            self.release.wait(timeout=30)
+        return self.counter.query_batch(pairs)  # type: ignore[attr-defined]
+
+    async def held(self) -> None:
+        """Return once the first batch is blocked inside the kernel."""
+        while not self.entered.is_set():
+            await asyncio.sleep(0.001)
+
+
+@pytest.fixture
+def gated():
+    """Factory wrapping a counter in a :class:`GatedCounter`; every gate is
+    released at teardown, so a failing test never strands an executor
+    thread."""
+    made: list[GatedCounter] = []
+
+    def wrap(counter: object) -> GatedCounter:
+        made.append(GatedCounter(counter))
+        return made[-1]
+
+    yield wrap
+    for gate in made:
+        gate.release.set()
 
 
 @pytest.fixture

@@ -145,18 +145,25 @@ class TestPoolFaults:
 # admission control (async service and its sync twin)
 # ----------------------------------------------------------------------
 class TestAdmissionControl:
-    def test_full_pending_queue_rejects_with_overload(self, chaos_index):
+    def test_full_pending_queue_rejects_with_overload(self, chaos_index, gated):
+        gate = gated(chaos_index)
+
         async def main():
-            # batch_size larger than the bound: nothing flushes on its own
+            # batch_size larger than the bound and one batch held in
+            # flight: nothing behind it flushes on its own
             async with AsyncQueryService(
-                chaos_index, batch_size=64, max_wait=5.0, max_pending=4
+                gate, batch_size=64, max_wait=5.0, max_pending=4
             ) as service:
+                held = asyncio.ensure_future(service.submit(0, 9))
+                await gate.held()
                 tasks = [asyncio.ensure_future(service.submit(0, i)) for i in range(1, 5)]
                 await asyncio.sleep(0)  # let the submits enqueue
                 with pytest.raises(OverloadError):
                     await service.submit(0, 5)
                 assert service.stats()["overloads"] == 1
+                gate.release.set()
                 await service.flush()
+                assert (await held).count == chaos_index.query(0, 9).count
                 return await asyncio.gather(*tasks)
 
         results = asyncio.run(main())
@@ -164,16 +171,23 @@ class TestAdmissionControl:
             chaos_index.query(0, i).count for i in range(1, 5)
         ]
 
-    def test_expired_deadline_sheds_before_the_kernel(self, chaos_index):
+    def test_expired_deadline_sheds_before_the_kernel(self, chaos_index, gated):
+        gate = gated(chaos_index)
+
         async def main():
             async with AsyncQueryService(
-                chaos_index, batch_size=64, max_wait=0.05
+                gate, batch_size=64, max_wait=0.05
             ) as service:
+                held = asyncio.ensure_future(service.submit(0, 9))
+                await gate.held()
                 task = asyncio.ensure_future(service.submit(0, 5, deadline_ms=1.0))
                 with pytest.raises(DeadlineError):
-                    await task  # the 50 ms timer flush finds it expired
+                    await task  # the 50 ms timer flush behind the held batch finds it expired
                 stats = service.stats()
                 assert stats["deadline_shed"] == 1
+                assert gate.calls == 1  # shed before any kernel call of its own
+                gate.release.set()
+                assert (await held).count == chaos_index.query(0, 9).count
                 # an unexpired co-batched query is unaffected
                 assert (await service.submit(0, 5)).count == chaos_index.query(0, 5).count
 
@@ -239,9 +253,12 @@ async def _raw_request(port: int, method: str, path: str, body: bytes = b"") -> 
     )
     await writer.drain()
     status = int((await reader.readline()).split()[1])
-    while (await reader.readline()).strip():
-        pass  # drain headers
-    payload = await reader.read()
+    length = 0
+    while line := (await reader.readline()).strip():
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    payload = await reader.readexactly(length)  # the connection stays open
     writer.close()
     await writer.wait_closed()
     return status, payload

@@ -304,7 +304,9 @@ class TestTracePropagation:
                     break
                 key, _, value = line.partition(":")
                 response_headers[key.strip().lower()] = value.strip()
-            payload = json.loads(await reader.read())
+            # the connection stays open: read exactly the declared body
+            length = int(response_headers["content-length"])
+            payload = json.loads(await reader.readexactly(length))
             writer.close()
             await writer.wait_closed()
             return status, response_headers, payload
@@ -364,9 +366,12 @@ class TestTracePropagation:
             writer.write(b"GET /debug/trace HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
             await writer.drain()
             status = int((await reader.readline()).split()[1])
-            while (await reader.readline()).strip():
-                pass
-            payload = json.loads(await reader.read())
+            length = 0
+            while line := (await reader.readline()).strip():
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            payload = json.loads(await reader.readexactly(length))
             writer.close()
             await writer.wait_closed()
             assert status == 200

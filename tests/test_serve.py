@@ -391,23 +391,75 @@ class TestAsyncQueryService:
         assert results == served_index.query_batch(pairs)
         assert stats["bulk_flushes"] == 4  # ceil(500 / 128)
 
-    def test_timeout_flush_and_aclose_semantics(self, served_index):
+    def test_timeout_flush_and_aclose_semantics(self, served_index, gated):
+        gate = gated(served_index)
+
         async def main():
-            service = AsyncQueryService(served_index, batch_size=1000, max_wait=0.01)
-            # an unfilled batch flushes on the admission deadline
+            service = AsyncQueryService(gate, batch_size=1000, max_wait=0.01)
+            # hold one batch in flight: an unfilled batch behind it
+            # flushes on the admission deadline
+            held = asyncio.ensure_future(service.submit(2, 9))
+            await gate.held()
             result = await asyncio.wait_for(service.submit(0, 5), timeout=5.0)
             assert result == served_index.query(0, 5)
             assert service.stats()["timeout_flushes"] == 1
             # aclose flushes stragglers instead of stranding them
             waiter = asyncio.ensure_future(service.submit(1, 7))
-            await asyncio.sleep(0)  # let the submit enqueue
+            await asyncio.sleep(0)  # let the submit enqueue behind the held batch
+            gate.release.set()
             await service.aclose()
             assert (await waiter) == served_index.query(1, 7)
+            assert (await held) == served_index.query(2, 9)
+            assert service.stats()["manual_flushes"] == 1
             assert service.closed
             with pytest.raises(QueryError):
                 await service.submit(2, 3)
 
         asyncio.run(main())
+
+    def test_idle_submit_flushes_at_once(self, served_index):
+        async def main():
+            async with AsyncQueryService(
+                served_index, batch_size=1000, max_wait=30
+            ) as service:
+                start = time.perf_counter()
+                result = await asyncio.wait_for(service.submit(0, 5), timeout=5.0)
+                return result, time.perf_counter() - start, service.stats()
+
+        result, elapsed, stats = asyncio.run(main())
+        assert result == served_index.query(0, 5)
+        # no batch in flight: the query does not wait out max_wait
+        assert elapsed < 1.0
+        assert stats["idle_flushes"] == 1
+        assert stats["timeout_flushes"] == 0
+
+    def test_query_behind_a_busy_kernel_flushes_when_it_finishes(
+        self, served_index, gated
+    ):
+        gate = gated(served_index)
+
+        async def main():
+            async with AsyncQueryService(
+                gate, batch_size=1000, max_wait=30
+            ) as service:
+                first = asyncio.ensure_future(service.submit(0, 5))
+                await gate.held()
+                behind = asyncio.ensure_future(service.submit(1, 7))
+                await asyncio.sleep(0.05)
+                assert not behind.done() and service.pending == 1
+                gate.release.set()
+                answers = await asyncio.wait_for(
+                    asyncio.gather(first, behind), timeout=5.0
+                )
+                return answers, service.stats()
+
+        (first, behind), stats = asyncio.run(main())
+        assert first == served_index.query(0, 5)
+        assert behind == served_index.query(1, 7)
+        # both flushes found the kernel idle; max_wait never expired
+        assert stats["idle_flushes"] == 2
+        assert stats["timeout_flushes"] == 0
+        assert stats["batches"] == 2
 
     def test_cache_short_circuits_kernel(self, served_index):
         async def main():
@@ -502,6 +554,21 @@ class TestLRUCache:
 # ----------------------------------------------------------------------
 # HTTP front-end
 # ----------------------------------------------------------------------
+async def _read_response(reader: asyncio.StreamReader) -> tuple[int, dict, bytes]:
+    """One response off a (possibly kept-alive) connection: status, headers
+    (lower-cased names) and exactly ``Content-Length`` body bytes."""
+    status = int((await reader.readline()).split()[1])
+    headers = {}
+    while True:
+        line = (await reader.readline()).decode().strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    payload = await reader.readexactly(int(headers["content-length"]))
+    return status, headers, payload
+
+
 async def _http_request(port: int, method: str, path: str, body: bytes = b"") -> tuple[int, dict]:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(
@@ -512,11 +579,7 @@ async def _http_request(port: int, method: str, path: str, body: bytes = b"") ->
         + body
     )
     await writer.drain()
-    status_line = (await reader.readline()).decode()
-    status = int(status_line.split()[1])
-    while (await reader.readline()).strip():
-        pass  # drain headers
-    payload = await reader.read()
+    status, _, payload = await _read_response(reader)
     writer.close()
     await writer.wait_closed()
     return status, json.loads(payload)
@@ -673,15 +736,9 @@ class TestHttpUnhappyPaths:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             writer.write(b"GET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
             await writer.drain()
-            status = int((await reader.readline()).split()[1])
-            content_type = ""
-            while True:
-                header = (await reader.readline()).decode().strip()
-                if not header:
-                    break
-                if header.lower().startswith("content-type:"):
-                    content_type = header.partition(":")[2].strip()
-            text = (await reader.read()).decode()
+            status, headers, payload = await _read_response(reader)
+            content_type = headers.get("content-type", "")
+            text = payload.decode()
             writer.close()
             await writer.wait_closed()
 
@@ -691,6 +748,7 @@ class TestHttpUnhappyPaths:
                 "repro_queries_total",
                 "repro_shed_total{cause=\"overload\"} 0",
                 "repro_health 0",
+                "repro_flushes_total{reason=\"idle\"} 1",
                 "repro_flush_latency_seconds_bucket",
                 "repro_request_latency_seconds_count",
                 "repro_http_responses_total{code=\"200\"}",
@@ -701,6 +759,126 @@ class TestHttpUnhappyPaths:
             assert status == 200 and health["status"] == "ok"
             stop.set()
             await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(main())
+
+
+class TestHttpKeepAlive:
+    """HTTP/1.1 connections carry many requests; the server closes one
+    only when told to, on HTTP/1.0, after an error, when idle, or on stop."""
+
+    @staticmethod
+    async def _open(port: int):
+        return await asyncio.open_connection("127.0.0.1", port)
+
+    @staticmethod
+    def _get(path: str, extra: str = "", version: str = "HTTP/1.1") -> bytes:
+        return f"GET {path} {version}\r\nHost: x\r\n{extra}\r\n".encode()
+
+    def _run(self, served_index, scenario, **service_kwargs):
+        async def main():
+            service = AsyncQueryService(served_index, batch_size=16, **service_kwargs)
+            port, stop, task = await TestHttpUnhappyPaths._serve(service)
+            try:
+                await scenario(port)
+            finally:
+                stop.set()
+                await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(main())
+
+    def test_two_requests_on_one_connection(self, served_index):
+        async def scenario(port):
+            reader, writer = await self._open(port)
+            for s, t in ((0, 5), (3, 7)):
+                writer.write(self._get(f"/query?s={s}&t={t}"))
+                await writer.drain()
+                status, headers, payload = await _read_response(reader)
+                assert status == 200 and "connection" not in headers
+                assert json.loads(payload)["count"] == served_index.query(s, t).count
+            writer.close()
+            await writer.wait_closed()
+
+        self._run(served_index, scenario)
+
+    def test_pipelined_requests_are_answered_in_order(self, served_index):
+        pairs = [(0, 5), (3, 7), (2, 2), (9, 1)]
+
+        async def scenario(port):
+            reader, writer = await self._open(port)
+            writer.write(b"".join(self._get(f"/query?s={s}&t={t}") for s, t in pairs))
+            await writer.drain()
+            for s, t in pairs:
+                status, _, payload = await _read_response(reader)
+                answer = json.loads(payload)
+                assert status == 200 and (answer["s"], answer["t"]) == (s, t)
+                assert answer["count"] == served_index.query(s, t).count
+            writer.close()
+            await writer.wait_closed()
+
+        self._run(served_index, scenario)
+
+    def test_connection_close_http10_and_errors_close(self, served_index):
+        async def closes_after(request: bytes, port: int) -> int:
+            reader, writer = await self._open(port)
+            writer.write(request)
+            await writer.drain()
+            status, headers, _ = await _read_response(reader)
+            assert headers["connection"] == "close", request
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b"", request
+            writer.close()
+            await writer.wait_closed()
+            return status
+
+        async def scenario(port):
+            assert await closes_after(self._get("/query?s=0&t=5", "Connection: close\r\n"), port) == 200
+            assert await closes_after(self._get("/query?s=0&t=5", version="HTTP/1.0"), port) == 200
+            assert await closes_after(self._get("/nope"), port) == 404
+            assert await closes_after(self._get("/query?s=0"), port) == 400
+            # a body framed without Content-Length would desynchronise the
+            # kept-alive stream: refused
+            chunked = (
+                b"POST /query_batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"5\r\nhello\r\n0\r\n\r\n"
+            )
+            assert await closes_after(chunked, port) == 400
+
+        self._run(served_index, scenario)
+
+    def test_idle_connection_is_closed_without_a_response(
+        self, served_index, monkeypatch
+    ):
+        import repro.serve.http as http_mod
+
+        monkeypatch.setattr(http_mod, "_READ_TIMEOUT", 0.2)
+
+        async def scenario(port):
+            reader, writer = await self._open(port)
+            writer.write(self._get("/query?s=0&t=5"))
+            await writer.drain()
+            assert (await _read_response(reader))[0] == 200
+            # nothing more arrives: after _READ_TIMEOUT the server hangs up
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            await writer.wait_closed()
+
+        self._run(served_index, scenario)
+
+    def test_stop_closes_idle_keep_alive_connections(self, served_index):
+        async def main():
+            service = AsyncQueryService(served_index, batch_size=16)
+            port, stop, task = await TestHttpUnhappyPaths._serve(service)
+            reader, writer = await self._open(port)
+            writer.write(self._get("/query?s=0&t=5"))
+            await writer.drain()
+            assert (await _read_response(reader))[0] == 200
+            # the client stays connected and idle while the server stops
+            stop.set()
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            await asyncio.wait_for(task, timeout=5)
+            assert service.closed
+            writer.close()
+            await writer.wait_closed()
 
         asyncio.run(main())
 
@@ -939,6 +1117,31 @@ def test_http_bad_batch_values_return_400(served_index):
             json.dumps({"pairs": [["a", 2]]}).encode(),
         )
         assert status == 400 and "integer" in err["error"]
+        # int() would have answered (0, 3), (1, 1) and (0, 1) with a 200
+        for pairs in ([[0.9, 3.99]], [[True, 1]], [["0", 1]], [[0, None]], [[0, 2.0]]):
+            status, err = await _http_request(
+                port, "POST", "/query_batch", json.dumps({"pairs": pairs}).encode()
+            )
+            assert status == 400 and "JSON integers" in err["error"], pairs
+        for deadline in (True, "5", 0, -1.5):
+            body = {"pairs": [[0, 1]], "deadline_ms": deadline}
+            status, err = await _http_request(
+                port, "POST", "/query_batch", json.dumps(body).encode()
+            )
+            assert status == 400 and "deadline_ms" in err["error"], deadline
+        # NaN is not a budget either (json.dumps writes it as a bare NaN)
+        status, err = await _http_request(
+            port, "POST", "/query_batch", b'{"pairs": [[0, 1]], "deadline_ms": NaN}'
+        )
+        assert status == 400 and "deadline_ms" in err["error"]
+        status, _ = await _http_request(port, "GET", "/query?s=0&t=1&deadline_ms=nan")
+        assert status == 400
+        # the accepted forms still answer
+        status, ok = await _http_request(
+            port, "POST", "/query_batch",
+            json.dumps({"pairs": [[0, 1]], "deadline_ms": 5000}).encode(),
+        )
+        assert status == 200 and ok["results"][0]["count"] == served_index.query(0, 1).count
         stop.set()
         await asyncio.wait_for(task, timeout=10)
 
